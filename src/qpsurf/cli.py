@@ -156,7 +156,7 @@ def random_cycle_potential(tq, degree, rng, min_length=4, max_length=6, max_term
     return Potential(tq.quiver, degree, terms)
 
 
-def _x_inputs(tq, x):
+def _x_inputs(x):
     if isinstance(x, list):
         return [str(c) for c in x]
     return str(x)
@@ -167,20 +167,18 @@ def _x_inputs(tq, x):
 # ----------------------------------------------------------------------
 
 def cmd_build(args):
-    what = args.what
-    if what[0] == "torus":
-        tau = once_punctured_torus()
-    elif what[0] == "genus2p":
-        if len(what) != 2:
-            raise ValueError("usage: build genus2p G")
-        tau = twice_punctured_genus(int(what[1]))
-    elif what[0] == "load":
-        if len(what) != 2:
-            raise ValueError("usage: build load FILE")
-        tau = Triangulation.from_json_dict(_load_json(what[1]))
+    target, *rest = args.what
+    if target == "torus":
+        spec = target
+    elif target == "genus2p" and len(rest) == 1:
+        spec = "genus2p:" + rest[0]
+    elif target == "load" and len(rest) == 1:
+        spec = rest[0]
+    elif target in ("genus2p", "load"):
+        raise ValueError("usage: build %s %s" % (target, "G" if target == "genus2p" else "FILE"))
     else:
-        raise ValueError("unknown build target %r" % (what[0],))
-
+        raise ValueError("unknown build target %r" % (target,))
+    tau = load_triangulation(spec)
     tq = build_quiver(tau)
     rep = check_conditions(tq)
     details = [
@@ -277,7 +275,7 @@ def cmd_potential(args):
     details = ["degree: %d" % pot.degree, "terms: %d" % len(pot.terms)]
     for p in sorted(pot.terms, key=lambda p: (len(p), p.arrows)):
         details.append("  %s * %s" % (pot.terms[p], ".".join(p.arrows)))
-    witnesses = {"potential": pot.to_json_dict(), "x": _x_inputs(tq, x)}
+    witnesses = {"potential": pot.to_json_dict(), "x": _x_inputs(x)}
     return "PASS", details, witnesses, {}
 
 
@@ -405,7 +403,7 @@ def cmd_normalize(args):
         "runs": runs,
     }
     if args.x is not None:
-        witnesses["x"] = _x_inputs(tq, parse_x(args.x))
+        witnesses["x"] = _x_inputs(parse_x(args.x))
     if args.potential is None:
         witnesses["seed"] = args.seed
         witnesses["count"] = args.random
@@ -447,7 +445,7 @@ def cmd_absorb(args):
     ]
     witnesses = {
         "triangulation": tau.to_json_dict(),
-        "x": _x_inputs(tq, x),
+        "x": _x_inputs(x),
         "degree": degree,
         "v": v_pot.to_json_dict(),
         "endo": phi.to_json_dict(),
@@ -518,6 +516,8 @@ def cmd_jacobian_dim(args):
     details = []
     timings = {}
     if args.table is not None:
+        if args.table < 1:
+            raise ValueError("the dimension table needs N >= 1, got %d" % args.table)
         tau = load_triangulation(args.triangulation or "torus")
         tq = build_quiver(tau)
         x = parse_x(args.x)
@@ -555,7 +555,7 @@ def cmd_jacobian_dim(args):
                 % (n, degree, quot.dimension, certified, bound,
                    "ok" if row_ok else "VIOLATED")
             )
-        witnesses = {"rows": rows, "x": _x_inputs(tq, x), "valency": m}
+        witnesses = {"rows": rows, "x": _x_inputs(x), "valency": m}
         return ("PASS" if ok else "FAIL"), details, witnesses, timings
 
     if args.qp is not None:
@@ -575,7 +575,7 @@ def cmd_jacobian_dim(args):
         else:
             pot = potential_S(tq, x, degree=degree)
         qp = QP(tq.quiver, pot)
-        inputs_w = {"triangulation": tau.to_json_dict(), "x": _x_inputs(tq, x), "n": args.n}
+        inputs_w = {"triangulation": tau.to_json_dict(), "x": _x_inputs(x), "n": args.n}
 
     t0 = time.perf_counter()
     quot, certified = quotient_dimension(qp, degree)
@@ -598,7 +598,7 @@ def cmd_jacobian_dim(args):
         outcome = "FAIL"
     if args.certify and tq is not None and args.n is not None and len(tq.punctures) == 1 and certified:
         t0 = time.perf_counter()
-        indep = g_path_independence_check(tq, x, args.n, degree)
+        indep = g_path_independence_check(tq, quot, args.n)
         timings["independence"] = time.perf_counter() - t0
         details.append(
             "%s g-paths below cutoff are linearly independent" % ("PASS" if indep else "FAIL")
@@ -739,6 +739,10 @@ def _input_digest(argv):
     return inputs
 
 
+# Bad input, unreadable files and failed internal contracts all end in ERROR.
+_ERRORS = (ValueError, OSError, KeyError, json.JSONDecodeError, ZeroDivisionError, RuntimeError)
+
+
 def run_command(argv):
     """Run one subcommand and return its RunReport (never raises)."""
     parser = build_parser()
@@ -749,7 +753,7 @@ def run_command(argv):
     start = time.perf_counter()
     try:
         outcome, details, witnesses, timings = _HANDLERS[args.subcommand](args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except _ERRORS as exc:
         return RunReport(
             list(argv), inputs, "ERROR",
             ["ERROR: %s" % (exc,)], {}, {"total": time.perf_counter() - start},
@@ -815,7 +819,7 @@ def main(argv=None):
     if recheck_path is not None:
         try:
             report = run_recheck(recheck_path)
-        except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+        except _ERRORS as exc:
             report = RunReport(["recheck", recheck_path], {}, "ERROR", ["ERROR: %s" % exc])
     elif not rest:
         build_parser().print_usage()

@@ -277,14 +277,6 @@ def _rank(mat):
     return rank
 
 
-def depth(phi):
-    return phi.depth()
-
-
-def is_unitriangular(phi):
-    return phi.is_unitriangular()
-
-
 def compose(outer, inner):
     """The composite outer ∘ inner (inner substitutes first)."""
     if outer.quiver != inner.quiver:

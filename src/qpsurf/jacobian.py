@@ -402,25 +402,27 @@ def quotient_dimension(qp, degree):
     return quotient, certified
 
 
-def g_path_independence_check(tq, x, n, degree):
+def g_path_independence_check(tq, quotient, n):
     """Are all g-paths shorter than n·m_α − 1 independent in the quotient?
 
-    Builds the weighted-cycle potential with cycle power n on the given
-    once-punctured triangulation quiver, certifies the quotient at the
-    given degree, reduces every g-path of length < n·m − 1, and checks that
-    the residues are linearly independent over the rationals.  Raises if
-    the certificate does not engage.
+    ``quotient`` is what ``quotient_dimension`` returned for the
+    weighted-cycle potential with cycle power n on the once-punctured
+    triangulation quiver ``tq``.  Reduces every g-path of length
+    < n·m − 1 in it and checks that the residues are linearly independent
+    over the rationals.  Raises unless the surface has one puncture and the
+    quotient is certified.
     """
-    from .qp_mutation import QP
-    from .surface import potential_Sxn
-
-    pot = potential_Sxn(tq, x, n, degree)
-    qp = QP(tq.quiver, pot)
-    quotient, certified = quotient_dimension(qp, degree)
-    if not certified:
+    if len(tq.punctures) != 1:
+        raise ValueError(
+            "the independence check needs exactly one puncture; quiver has %d"
+            % len(tq.punctures)
+        )
+    if quotient.qp.quiver != tq.quiver:
+        raise ValueError("the quotient lives on a different quiver")
+    if not quotient.certified:
         raise ValueError(
             "finiteness certificate unavailable at degree %d; "
-            "cannot decide independence" % degree
+            "cannot decide independence" % quotient.degree
         )
     index = quotient._index
     pivots = quotient._pivots

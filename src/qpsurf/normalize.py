@@ -66,7 +66,7 @@ def split(tq, pot):
     )
 
 
-def _triangle_cycles(tq, degree):
+def _triangle_cycles(tq):
     return {
         canonicalize_rotation(tq.quiver, tq.triangle_cycle(i)): i
         for i in range(len(tq.tau.triangles))
@@ -74,7 +74,7 @@ def _triangle_cycles(tq, degree):
 
 
 def _check_disjoint_from_triangles(tq, pot, what):
-    tri = _triangle_cycles(tq, pot.degree)
+    tri = _triangle_cycles(tq)
     hits = [p for p in pot.terms if p in tri]
     if hits:
         raise ValueError(
@@ -95,7 +95,7 @@ def normalize_triangle_coefficients(tq, pot):
     q = tq.quiver
     d = pot.degree
     rules = {}
-    for cyc, i in _triangle_cycles(tq, d).items():
+    for cyc, i in _triangle_cycles(tq).items():
         z = pot.terms.get(cyc, Fraction(0))
         if z == 0:
             raise ValueError(
@@ -108,7 +108,7 @@ def normalize_triangle_coefficients(tq, pot):
         rules[alpha] = TruncatedElement.from_arrow(q, d, alpha, Fraction(1, 1) / z)
     phi = REndomorphism(q, d, rules)
     out = phi.apply(pot)
-    for cyc, i in _triangle_cycles(tq, d).items():
+    for cyc, i in _triangle_cycles(tq).items():
         if out.terms.get(cyc) != 1:
             raise RuntimeError("triangle %d still lacks unit coefficient" % i)
     return phi, out
@@ -142,9 +142,8 @@ def lengthen(tq, symbol, w_pot, a_pot):
     if symbol == "f":
         for p, z in a_phi.terms.items():
             cls = classify_cycle(tq, p)
-            assert cls.kind == "F" and cls.n >= 2, (
-                "length-3 terms of A would overlap the triangle cycles"
-            )
+            if cls.kind != "F" or cls.n < 2:
+                raise RuntimeError("length-3 terms of A would overlap the triangle cycles")
             alpha = min(p.arrows, key=q.rank)
             cyc = tq.f_path(3, alpha).arrows
             tail = Path((alpha,) + cyc * (cls.n - 1))
@@ -152,7 +151,8 @@ def lengthen(tq, symbol, w_pot, a_pot):
     else:
         for p, z in a_phi.terms.items():
             cls = classify_cycle(tq, p)
-            assert cls.kind == "FG"
+            if cls.kind != "FG":
+                raise RuntimeError("fg-part term %r is not a mixed cycle" % (p,))
             # The pinch rotation reads f²(a)·f(a)·ω with ω parallel to a;
             # ω starts with the g-step arrow preceding the stored tail.
             a = cls.witness_arrow

@@ -209,8 +209,16 @@ def canonicalize_rotation(quiver, p):
     return Path(w[best:] + w[:best])
 
 
-class TruncatedElement:
-    """A finite rational combination of paths, modulo paths longer than D."""
+class _Graded:
+    """A finite rational combination of paths, modulo paths longer than D.
+
+    The shared implementation of ``TruncatedElement`` and ``Potential``.
+    A subclass decides which paths it accepts (``_check``) and which path
+    stands for a term in the dictionary (``_key``); everything else —
+    truncation, arithmetic, comparison and JSON — is the same.  Operands of
+    different subclasses never mix: arithmetic between them raises
+    ``TypeError`` and they never compare equal.
+    """
 
     __slots__ = ("quiver", "degree", "terms")
 
@@ -228,32 +236,35 @@ class TruncatedElement:
             if c == 0:
                 continue
             if validate:
-                quiver.check_path(p)
-            clean[p] = c
+                self._check(p)
+            key = self._key(p)
+            s = clean.get(key, 0) + c
+            if s == 0:
+                clean.pop(key, None)
+            else:
+                clean[key] = s
         self.terms = clean
+
+    def _check(self, p):
+        self.quiver.check_path(p)
+
+    def _key(self, p):
+        return p
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def _raw(cls, quiver, degree, terms):
-        """Internal: adopt a term dict already known to be clean."""
-        el = cls.__new__(cls)
-        el.quiver = quiver
-        el.degree = degree
-        el.terms = terms
-        return el
+        """Internal: adopt a term dict already known to be clean and keyed."""
+        x = cls.__new__(cls)
+        x.quiver = quiver
+        x.degree = degree
+        x.terms = terms
+        return x
 
     @classmethod
     def zero(cls, quiver, degree):
         return cls(quiver, degree, {}, validate=False)
-
-    @classmethod
-    def from_path(cls, quiver, degree, p, coeff=1):
-        return cls(quiver, degree, {p: Fraction(coeff)})
-
-    @classmethod
-    def from_arrow(cls, quiver, degree, name, coeff=1):
-        return cls.from_path(quiver, degree, quiver.path([name]), coeff)
 
     # -- structure -----------------------------------------------------
 
@@ -274,7 +285,7 @@ class TruncatedElement:
         return max(len(p.arrows) for p in self.terms)
 
     def coefficient(self, p):
-        return self.terms.get(p, Fraction(0))
+        return self.terms.get(self._key(p), Fraction(0))
 
     def truncate(self, degree):
         if degree >= self.degree:
@@ -282,18 +293,15 @@ class TruncatedElement:
                 return self
             raise ValueError("cannot raise truncation degree")
         kept = {p: c for p, c in self.terms.items() if len(p.arrows) <= degree}
-        return TruncatedElement._raw(self.quiver, degree, kept)
-
-    def support_lengths(self):
-        return sorted({len(p.arrows) for p in self.terms})
+        return self._raw(self.quiver, degree, kept)
 
     # -- arithmetic ----------------------------------------------------
 
     def _coerced(self, other):
-        if not isinstance(other, TruncatedElement):
-            raise TypeError("expected TruncatedElement, got %r" % type(other))
+        if type(other) is not type(self):
+            raise TypeError("expected %s, got %r" % (type(self).__name__, type(other)))
         if other.quiver != self.quiver:
-            raise ValueError("elements live on different quivers")
+            raise ValueError("operands live on different quivers")
         return min(self.degree, other.degree)
 
     def __add__(self, other):
@@ -307,25 +315,96 @@ class TruncatedElement:
                 out[p] = s
         if d != self.degree or d != other.degree:
             out = {p: c for p, c in out.items() if len(p.arrows) <= d}
-        return TruncatedElement._raw(self.quiver, d, out)
+        return self._raw(self.quiver, d, out)
 
     def __sub__(self, other):
         return self.__add__(-other)
 
     def __neg__(self):
-        return TruncatedElement._raw(
-            self.quiver, self.degree, {p: -c for p, c in self.terms.items()}
-        )
+        return self._raw(self.quiver, self.degree, {p: -c for p, c in self.terms.items()})
 
     def scale(self, c):
         c = Fraction(c)
         if c == 0:
-            return TruncatedElement._raw(self.quiver, self.degree, {})
-        return TruncatedElement._raw(
+            return self._raw(self.quiver, self.degree, {})
+        return self._raw(
             self.quiver, self.degree, {p: c * v for p, v in self.terms.items()}
         )
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.quiver == other.quiver
+            and self.degree == other.degree
+            and self.terms == other.terms
+        )
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = None
+
+    def __repr__(self):
+        name = type(self).__name__
+        if not self.terms:
+            return "%s(0; D=%d)" % (name, self.degree)
+        bits = []
+        for p in sorted(self.terms, key=lambda p: (len(p.arrows), p.arrows)):
+            bits.append("%s·%r" % (self.terms[p], p))
+        return "%s(%s; D=%d)" % (name, " + ".join(bits), self.degree)
+
+    # -- serialization -------------------------------------------------
+
+    def to_json_dict(self):
+        items = sorted(self.terms.items(), key=lambda pc: (len(pc[0].arrows), pc[0].arrows))
+        out = []
+        for p, c in items:
+            entry = {"coeff": str(c), "path": list(p.arrows)}
+            if not p.arrows:
+                entry["at"] = p.at
+            out.append(entry)
+        return {"D": self.degree, "terms": out}
+
+    @classmethod
+    def from_json_dict(cls, quiver, data):
+        """Load from ``to_json_dict`` output; a term longer than ``D`` is an error."""
+        degree = int(data["D"])
+        terms = {}
+        for entry in data["terms"]:
+            p = quiver.path(entry["path"], at=entry.get("at"))
+            if len(p.arrows) > degree:
+                raise ValueError(
+                    "term %r is longer than the truncation degree %d" % (p, degree)
+                )
+            terms[p] = terms.get(p, 0) + Fraction(entry["coeff"])
+        return cls(quiver, degree, terms)
+
+
+class TruncatedElement(_Graded):
+    """A finite rational combination of paths, modulo paths longer than D."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_path(cls, quiver, degree, p, coeff=1):
+        return cls(quiver, degree, {p: Fraction(coeff)})
+
+    @classmethod
+    def from_arrow(cls, quiver, degree, name, coeff=1):
+        return cls.from_path(quiver, degree, quiver.path([name]), coeff)
+
+    def support_lengths(self):
+        return sorted({len(p.arrows) for p in self.terms})
+
+    def __mul__(self, other):
+        """Product in the truncated path algebra (right factor acts first)."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         d = self._coerced(other)
@@ -347,104 +426,23 @@ class TruncatedElement:
                     out[w] = s
         return TruncatedElement._raw(q, d, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedElement)
-            and self.quiver == other.quiver
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.terms:
-            return "TruncatedElement(0; D=%d)" % self.degree
-        bits = []
-        for p in sorted(self.terms, key=lambda p: (len(p.arrows), p.arrows)):
-            bits.append("%s·%r" % (self.terms[p], p))
-        return "TruncatedElement(%s; D=%d)" % (" + ".join(bits), self.degree)
-
-    # -- serialization -------------------------------------------------
-
-    def to_json_dict(self):
-        items = sorted(self.terms.items(), key=lambda pc: (len(pc[0].arrows), pc[0].arrows))
-        out = []
-        for p, c in items:
-            entry = {"coeff": str(c), "path": list(p.arrows)}
-            if not p.arrows:
-                entry["at"] = p.at
-            out.append(entry)
-        return {"D": self.degree, "terms": out}
-
-    @classmethod
-    def from_json_dict(cls, quiver, data):
-        terms = {}
-        for entry in data["terms"]:
-            p = quiver.path(entry["path"], at=entry.get("at"))
-            terms[p] = terms.get(p, 0) + Fraction(entry["coeff"])
-        return cls(quiver, data["D"], terms)
-
-
-def multiply(x, y):
-    """Product in the truncated path algebra (right factor acts first)."""
-    return x * y
-
-
-class Potential:
+class Potential(_Graded):
     """A rational combination of cycles, canonical under rotation.
 
     Two potentials are cyclically equivalent exactly when their canonical
     term dictionaries agree; all arithmetic here re-canonicalizes.
     """
 
-    __slots__ = ("quiver", "degree", "terms")
+    __slots__ = ()
 
-    def __init__(self, quiver, degree, terms=None, validate=True):
-        degree = int(degree)
-        if degree < 0:
-            raise ValueError("negative truncation degree")
-        self.quiver = quiver
-        self.degree = degree
-        clean = {}
-        for p, c in (terms or {}).items():
-            if len(p.arrows) > degree:
-                continue
-            c = Fraction(c)
-            if c == 0:
-                continue
-            if validate:
-                quiver.check_path(p)
-                if not quiver.is_cycle(p):
-                    raise ValueError("potential term is not a cycle: %r" % (p,))
-            key = canonicalize_rotation(quiver, p)
-            s = clean.get(key, 0) + c
-            if s == 0:
-                clean.pop(key, None)
-            else:
-                clean[key] = s
-        self.terms = clean
+    def _check(self, p):
+        self.quiver.check_path(p)
+        if not self.quiver.is_cycle(p):
+            raise ValueError("potential term is not a cycle: %r" % (p,))
 
-    @classmethod
-    def _raw(cls, quiver, degree, terms):
-        """Internal: adopt a term dict whose keys are already canonical."""
-        pot = cls.__new__(cls)
-        pot.quiver = quiver
-        pot.degree = degree
-        pot.terms = terms
-        return pot
-
-    @classmethod
-    def zero(cls, quiver, degree):
-        return cls(quiver, degree, {}, validate=False)
+    def _key(self, p):
+        return canonicalize_rotation(self.quiver, p)
 
     @classmethod
     def from_element(cls, x):
@@ -453,117 +451,6 @@ class Potential:
 
     def as_element(self):
         return TruncatedElement._raw(self.quiver, self.degree, dict(self.terms))
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    @property
-    def short(self):
-        if not self.terms:
-            return inf
-        return min(len(p.arrows) for p in self.terms)
-
-    def max_length(self):
-        if not self.terms:
-            return 0
-        return max(len(p.arrows) for p in self.terms)
-
-    def coefficient(self, p):
-        """Coefficient of the rotation class of p."""
-        return self.terms.get(canonicalize_rotation(self.quiver, p), Fraction(0))
-
-    def truncate(self, degree):
-        if degree >= self.degree:
-            if degree == self.degree:
-                return self
-            raise ValueError("cannot raise truncation degree")
-        kept = {p: c for p, c in self.terms.items() if len(p.arrows) <= degree}
-        return Potential._raw(self.quiver, degree, kept)
-
-    def _coerced(self, other):
-        if not isinstance(other, Potential):
-            raise TypeError("expected Potential, got %r" % type(other))
-        if other.quiver != self.quiver:
-            raise ValueError("potentials live on different quivers")
-        return min(self.degree, other.degree)
-
-    def __add__(self, other):
-        d = self._coerced(other)
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            s = out.get(p, 0) + c
-            if s == 0:
-                out.pop(p, None)
-            else:
-                out[p] = s
-        if d != self.degree or d != other.degree:
-            out = {p: c for p, c in out.items() if len(p.arrows) <= d}
-        return Potential._raw(self.quiver, d, out)
-
-    def __sub__(self, other):
-        return self.__add__(-other)
-
-    def __neg__(self):
-        return Potential._raw(
-            self.quiver, self.degree, {p: -c for p, c in self.terms.items()}
-        )
-
-    def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return Potential._raw(self.quiver, self.degree, {})
-        return Potential._raw(
-            self.quiver, self.degree, {p: c * v for p, v in self.terms.items()}
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Potential)
-            and self.quiver == other.quiver
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.terms:
-            return "Potential(0; D=%d)" % self.degree
-        bits = []
-        for p in sorted(self.terms, key=lambda p: (len(p.arrows), p.arrows)):
-            bits.append("%s·%r" % (self.terms[p], p))
-        return "Potential(%s; D=%d)" % (" + ".join(bits), self.degree)
-
-    def to_json_dict(self):
-        items = sorted(self.terms.items(), key=lambda pc: (len(pc[0].arrows), pc[0].arrows))
-        return {
-            "D": self.degree,
-            "terms": [{"coeff": str(c), "path": list(p.arrows)} for p, c in items],
-        }
-
-    @classmethod
-    def from_json_dict(cls, quiver, data):
-        terms = {}
-        for entry in data["terms"]:
-            p = quiver.path(entry["path"])
-            terms[p] = terms.get(p, 0) + Fraction(entry["coeff"])
-        return cls(quiver, data["D"], terms)
-
-
-def short(x):
-    """Minimal occurring length; +inf for zero.  Works on elements and potentials."""
-    return x.short
 
 
 def is_cyclically_equivalent(a, b):
@@ -620,6 +507,8 @@ def enumerate_cycle_classes(quiver, max_length):
     Meant for small quivers and modest lengths; the walk is exponential in
     ``max_length``.
     """
+    if max_length < 1:
+        raise ValueError("cycle length bound must be at least 1, got %r" % (max_length,))
     seen = set()
     out = []
     arrows = list(quiver.arrows)

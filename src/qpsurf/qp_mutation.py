@@ -398,6 +398,19 @@ def _first_difference(got, want):
     return None
 
 
+def _flip_correction(base, shifted, star, n, x, sign):
+    """Σ_j x·(−1)^(sign+j) · base·(shifted·base)^(n−j−1)·(star·base)^j over j < n."""
+    total = TruncatedElement.zero(base.quiver, base.degree)
+    for j in range(n):
+        term = base
+        for _ in range(n - j - 1):
+            term = term * (shifted * base)
+        for _ in range(j):
+            term = term * (star * base)
+        total = total + term.scale(x * (-1) ** (sign + j))
+    return total
+
+
 def verify_flip_compatibility(tau, k, x, n, degree, perturb=None):
     """Check that mutation at a flipped arc reproduces the flipped potential.
 
@@ -447,26 +460,10 @@ def verify_flip_compatibility(tau, k, x, n, degree, perturb=None):
     xq = Fraction(x)
 
     phi1 = REndomorphism(new_q, d, {a1: a1_el - c1s_b1s})
-    base1 = a_el * a2_el * b_el
-    corr2 = TruncatedElement.zero(new_q, d)
-    for jj in range(n):
-        term = base1
-        for _ in range(n - jj - 1):
-            term = term * ((a1_el - c1s_b1s) * base1)
-        for _ in range(jj):
-            term = term * (c1s_b1s * base1)
-        corr2 = corr2 + term.scale(xq * (-1) ** jj)
+    corr2 = _flip_correction(a_el * a2_el * b_el, a1_el - c1s_b1s, c1s_b1s, n, xq, 0)
     phi2 = REndomorphism(new_q, d, {"[%s%s]" % (b1, c1): e("[%s%s]" % (b1, c1)) - corr2})
     phi3 = REndomorphism(new_q, d, {a2: a2_el - c2s_b2s})
-    base2 = b_el * c1s_b1s * a_el
-    corr4 = TruncatedElement.zero(new_q, d)
-    for jj in range(n):
-        term = base2
-        for _ in range(n - jj - 1):
-            term = term * ((a2_el - c2s_b2s) * base2)
-        for _ in range(jj):
-            term = term * (c2s_b2s * base2)
-        corr4 = corr4 + term.scale(xq * (-1) ** (n + jj))
+    corr4 = _flip_correction(b_el * c1s_b1s * a_el, a2_el - c2s_b2s, c2s_b2s, n, xq, n)
     phi4 = REndomorphism(new_q, d, {"[%s%s]" % (b2, c2): e("[%s%s]" % (b2, c2)) - corr4})
     phi = compose(phi4, compose(phi3, compose(phi2, phi1)))
 

@@ -347,14 +347,6 @@ def build_quiver(tau, arrow_names=None):
     return TriangulationQuiver(tau, quiver, f, tri_index)
 
 
-def g_path(tq, r, beta):
-    return tq.g_path(r, beta)
-
-
-def f_path(tq, r, beta):
-    return tq.f_path(r, beta)
-
-
 # ----------------------------------------------------------------------
 # Builders
 # ----------------------------------------------------------------------
@@ -542,11 +534,13 @@ def classify_cycle(tq, cycle):
     word = canon.arrows
     syms = _step_symbols(tq, word)
     if all(s == "f" for s in syms):
-        assert len(word) % 3 == 0
+        if len(word) % 3 != 0:
+            raise RuntimeError("f-cycle %r is not a power of a triangle cycle" % (cycle,))
         return CycleClass("F", n=len(word) // 3, base=word[-1])
     if all(s == "g" for s in syms):
         m = tq.m_of(word[-1])
-        assert len(word) % m == 0
+        if len(word) % m != 0:
+            raise RuntimeError("g-cycle %r is not a power of a puncture cycle" % (cycle,))
         return CycleClass("G", n=len(word) // m, base=word[-1])
     n = len(word)
     start = next(
@@ -559,7 +553,8 @@ def classify_cycle(tq, cycle):
         raise ValueError(
             "mixed cycle of length 3 cannot occur without double arrows: %r" % (cycle,)
         )
-    assert rot[0] == tq.f_of(a, 2) and rot[2] == tq.g_inv[rot[1]]
+    if rot[0] != tq.f_of(a, 2) or rot[2] != tq.g_inv[rot[1]]:
+        raise RuntimeError("pinch-point rotation of %r is not f²(a)·f(a)·g⁻¹(f(a))" % (cycle,))
     return CycleClass("FG", witness_arrow=a, remainder=remainder)
 
 

@@ -101,6 +101,11 @@ class TestQuiverAndPotential:
         assert code == 2
         assert "nonzero" in out
 
+    def test_zero_denominator_is_an_error(self, capsys):
+        code, out = run(capsys, "potential", "--triangulation", "torus", "--x", "1/0")
+        assert code == 2
+        assert "OUTCOME: ERROR" in out
+
 
 class TestMutate:
     @pytest.fixture()
@@ -126,6 +131,17 @@ class TestMutate:
         f.write_text("not json")
         code, out = run(capsys, "mutate", "--qp", str(f), "--vertex", "1")
         assert code == 2
+
+    def test_term_beyond_its_own_degree(self, capsys, torus_tq, tmp_path):
+        # The puncture cycle has length 6; a stored D of 5 must not drop it.
+        data = QP(torus_tq.quiver, potential_Sxn(torus_tq, 1, 1, 12)).to_json_dict()
+        data["potential"]["D"] = 5
+        f = tmp_path / "qp.json"
+        f.write_text(json.dumps(data))
+        code, out = run(capsys, "mutate", "--qp", str(f), "--vertex", "1")
+        assert code == 2
+        assert "longer than the truncation degree 5" in out
+        assert "OUTCOME: ERROR" in out
 
 
 class TestVerifyFlip:
@@ -249,6 +265,14 @@ class TestClassify:
         code, out = run(capsys, "classify", "--triangulation", "torus")
         assert code == 2
 
+    def test_nonpositive_max_length(self, capsys):
+        code, out = run(
+            capsys, "classify", "--triangulation", "torus", "--max-length", "0"
+        )
+        assert code == 2
+        assert "cycle length bound must be at least 1" in out
+        assert "OUTCOME: ERROR" in out
+
 
 class TestJacobianDim:
     def test_certified_with_independence(self, capsys):
@@ -274,6 +298,11 @@ class TestJacobianDim:
         lines = [l for l in out.splitlines() if l and l[0].isdigit()]
         assert len(lines) == 2
         assert "36" in lines[0] and "72" in lines[1]
+
+    def test_empty_table_is_an_error(self, capsys):
+        code, out = run(capsys, "jacobian-dim", "--table", "0", "--x", "1")
+        assert code == 2
+        assert "OUTCOME: ERROR" in out
 
     def test_degree_required_in_triangulation_mode(self, capsys):
         code, out = run(

@@ -13,9 +13,7 @@ from qpsurf.endo import (
     REndomorphism,
     compose,
     compose_all,
-    depth,
     invert_unitriangular,
-    is_unitriangular,
     limit_compose,
 )
 from qpsurf.path_algebra import Path, Potential, TruncatedElement
@@ -144,7 +142,7 @@ class TestComposition:
 
 class TestDepthAndInversion:
     def test_depth_of_identity_is_infinite(self, torus_tq):
-        assert depth(REndomorphism.identity(torus_tq.quiver, 8)) == float("inf")
+        assert REndomorphism.identity(torus_tq.quiver, 8).depth() == float("inf")
 
     def test_depth_counts_added_length(self, torus_tq):
         q = torus_tq.quiver
@@ -153,7 +151,7 @@ class TestDepthAndInversion:
         img = arrow_el(q, 10, "a1") + TruncatedElement.from_path(q, 10, extra, 3)
         phi = REndomorphism(q, 10, {"a1": img})
         assert phi.depth() == 3
-        assert is_unitriangular(phi)
+        assert phi.is_unitriangular()
 
     def test_arrow_swap_is_not_unitriangular(self, torus_tq):
         q = torus_tq.quiver
@@ -161,7 +159,7 @@ class TestDepthAndInversion:
             q, 8, {"a1": arrow_el(q, 8, "a2"), "a2": arrow_el(q, 8, "a1")}
         )
         assert phi.depth() == 0
-        assert not is_unitriangular(phi)
+        assert not phi.is_unitriangular()
         assert phi.is_automorphism()
         with pytest.raises(ValueError):
             invert_unitriangular(phi)

@@ -18,7 +18,14 @@ from qpsurf.jacobian import (
 )
 from qpsurf.path_algebra import Path, Potential, Quiver, TruncatedElement
 from qpsurf.qp_mutation import QP
-from qpsurf.surface import potential_S, potential_Sxn
+from qpsurf.surface import (
+    build_quiver,
+    flip,
+    once_punctured_torus,
+    potential_S,
+    potential_Sxn,
+    potential_T,
+)
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "jacobian_dims.json").read_text()
@@ -209,8 +216,27 @@ class TestReduction:
 class TestGPathIndependence:
     @pytest.mark.parametrize("n,degree", [(1, 12), (2, 18)])
     def test_torus_standard_cases(self, torus_tq, n, degree):
-        assert g_path_independence_check(torus_tq, 1, n, degree)
+        quo, certified = quotient_dimension(torus_qp(torus_tq, n, degree), degree)
+        assert certified
+        assert g_path_independence_check(torus_tq, quo, n)
 
     def test_two_punctures_rejected(self, fig_tq):
+        qp = QP(fig_tq.quiver, potential_S(fig_tq, 1, 9))
+        quo, certified = quotient_dimension(qp, 9)
+        assert certified
         with pytest.raises(ValueError):
-            g_path_independence_check(fig_tq, 1, 1, 12)
+            g_path_independence_check(fig_tq, quo, 1)
+
+    def test_quotient_of_another_quiver_rejected(self, torus_tq):
+        flipped = build_quiver(flip(once_punctured_torus(), 1))
+        quo, certified = quotient_dimension(torus_qp(flipped, 1, 12), 12)
+        assert certified
+        with pytest.raises(ValueError, match="different quiver"):
+            g_path_independence_check(torus_tq, quo, 1)
+
+    def test_uncertified_quotient_rejected(self, torus_tq):
+        # Without the puncture term the Jacobian algebra is infinite.
+        quo, certified = quotient_dimension(QP(torus_tq.quiver, potential_T(torus_tq, 8)), 8)
+        assert not certified
+        with pytest.raises(ValueError, match="certificate"):
+            g_path_independence_check(torus_tq, quo, 1)

@@ -18,8 +18,6 @@ from qpsurf.path_algebra import (
     cyclic_derivative,
     enumerate_cycle_classes,
     is_cyclically_equivalent,
-    multiply,
-    short,
 )
 
 
@@ -160,7 +158,6 @@ class TestTruncatedArithmetic:
         assert 1 * a == a
         assert Fraction(-2, 3) * a == a.scale(Fraction(-2, 3))
         assert a - a == TruncatedElement.zero(q, 8)
-        assert multiply(a, a) == a * a
 
     def test_truncate(self, torus_tq):
         q = torus_tq.quiver
@@ -197,8 +194,8 @@ class TestTruncatedArithmetic:
 class TestShort:
     def test_zero_is_infinite(self, torus_tq):
         q = torus_tq.quiver
-        assert short(TruncatedElement.zero(q, 6)) == float("inf")
-        assert short(Potential.zero(q, 6)) == float("inf")
+        assert TruncatedElement.zero(q, 6).short == float("inf")
+        assert Potential.zero(q, 6).short == float("inf")
 
     def test_scaling_and_sums(self, torus_tq):
         q = torus_tq.quiver
@@ -207,8 +204,8 @@ class TestShort:
             p = oracles.random_potential(q, 10, rng)
             r = oracles.random_potential(q, 10, rng)
             if not p.is_zero:
-                assert short(p.scale(Fraction(-5, 7))) == short(p)
-            assert short(p + r) >= min(short(p), short(r))
+                assert p.scale(Fraction(-5, 7)).short == p.short
+            assert (p + r).short >= min(p.short, r.short)
 
 
 class TestPotential:
@@ -235,6 +232,28 @@ class TestPotential:
         q = tiny_quiver()
         with pytest.raises(ValueError):
             Potential(q, 6, {q.path(["y", "x"]): 1})
+
+    def test_elements_and_potentials_do_not_mix(self, torus_tq):
+        q = torus_tq.quiver
+        cyc = torus_tq.triangle_cycle(0)
+        pot = Potential(q, 6, {cyc: 2})
+        el = TruncatedElement(q, 6, pot.terms)
+        assert el.terms == pot.terms
+        assert el != pot and pot != el
+        with pytest.raises(TypeError):
+            el + pot
+        with pytest.raises(TypeError):
+            pot + el
+        assert repr(el).startswith("TruncatedElement(")
+        assert repr(pot).startswith("Potential(")
+        rot = next(r for r in q.rotations(cyc) if r not in pot.terms)
+        assert pot.coefficient(rot) == 2
+        assert el.coefficient(rot) == 0
+        data = pot.to_json_dict()
+        data["D"] = 2
+        for cls in (TruncatedElement, Potential):
+            with pytest.raises(ValueError, match="longer than the truncation degree"):
+                cls.from_json_dict(q, data)
 
     def test_over_degree_terms_dropped(self, torus_tq):
         q = torus_tq.quiver
