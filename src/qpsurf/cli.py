@@ -108,11 +108,22 @@ def load_triangulation(spec):
     return Triangulation.from_json_dict(_load_json(spec))
 
 
+def _fraction(token, option):
+    """One exact rational from the command line; errors name the option."""
+    token = token.strip()
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError("%s: zero denominator in %r" % (option, token)) from None
+    except ValueError:
+        raise ValueError("%s: not a rational number: %r" % (option, token)) from None
+
+
 def parse_x(text):
     """One fraction, or a comma-separated tuple in puncture order."""
     if text is None:
         return Fraction(1)
-    parts = [Fraction(tok.strip()) for tok in text.split(",")]
+    parts = [_fraction(tok, "--x") for tok in text.split(",")]
     return parts[0] if len(parts) == 1 else parts
 
 
@@ -311,14 +322,14 @@ def cmd_mutate(args):
 def cmd_verify_flip(args):
     tau = load_triangulation(args.triangulation)
     k = _parse_arc(args.arc)
-    x = Fraction(args.x)
+    x = _fraction(args.x, "--x")
     n = args.n
     degree = args.degree if args.degree is not None else 12 * n + 6
     perturb = None
     if args.perturb is not None:
         sigma = flip(tau, k)
         tq2 = build_quiver(sigma)
-        eps = Fraction(args.perturb)
+        eps = _fraction(args.perturb, "--perturb")
         perturb = Potential(tq2.quiver, degree, {tq2.triangle_cycle(0): eps})
     t0 = time.perf_counter()
     report = verify_flip_compatibility(tau, k, x, n, degree, perturb=perturb)
@@ -418,7 +429,7 @@ def _powers_potential(tq, degree, spec):
         pid, _, power = lhs.partition(":")
         word = tq.puncture_cycle(pid.strip()).arrows
         p = Path(word * int(power))
-        terms[p] = terms.get(p, 0) + Fraction(rhs.strip() or "1")
+        terms[p] = terms.get(p, 0) + _fraction(rhs.strip() or "1", "--powers")
     return Potential(tq.quiver, degree, terms)
 
 
@@ -621,8 +632,18 @@ def cmd_jacobian_dim(args):
 # Parser and dispatch
 # ----------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ``ValueError`` with argparse's message where argparse would
+    print usage and exit 2, so a rejected command line ends in an ERROR
+    report.  Subparsers inherit the class; ``--help`` still prints and exits.
+    """
+
+    def error(self, message):
+        raise ValueError("%s: %s" % (self.prog, message))
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="qpsurf",
         description="Exact computations with potentials on triangulated surfaces.",
     )
@@ -744,14 +765,17 @@ _ERRORS = (ValueError, OSError, KeyError, json.JSONDecodeError, ZeroDivisionErro
 
 
 def run_command(argv):
-    """Run one subcommand and return its RunReport (never raises)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand is None:
-        return RunReport(list(argv), {}, "ERROR", ["no subcommand given"])
+    """Run one subcommand and return its RunReport.
+
+    Never raises, except that ``--help`` prints help and exits as argparse
+    does; a command line argparse rejects is an ERROR carrying its message.
+    """
     inputs = _input_digest(argv)
     start = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        if args.subcommand is None:
+            return RunReport(list(argv), {}, "ERROR", ["no subcommand given"])
         outcome, details, witnesses, timings = _HANDLERS[args.subcommand](args)
     except _ERRORS as exc:
         return RunReport(

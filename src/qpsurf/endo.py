@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import inf
+from operator import itemgetter
 
 from .path_algebra import Path, Potential, TruncatedElement
 
@@ -82,23 +83,37 @@ class REndomorphism:
         long to absorb any branching correction just picks up the product
         of identity coefficients, in one pass.  Only terms with genuine
         room expand into sums; runs of arrows that cannot branch are
-        concatenated wholesale.
+        concatenated wholesale.  For the duration of the call each image is
+        held as a list of ``(length, word, coeff)`` ordered by length, so
+        the expansion stops at the first term longer than the room left.
+
+        A potential's output terms are cycles by construction (every rule
+        image has its arrow's endpoints), so they are only re-canonicalized,
+        not re-validated.
         """
         if isinstance(x, Potential):
-            return Potential.from_element(self.apply(x.as_element()))
+            out = self.apply(x.as_element())
+            return Potential(out.quiver, out.degree, out.terms, validate=False)
         d = min(self.degree, x.degree)
         q = self.quiver
         one = Fraction(1)
         info = {}
         plus_lengths = True
         for name, img in self.rules.items():
-            unit = Path((name,))
-            c_id = img.terms.get(unit, 0)
-            delta = min(
-                (len(r.arrows) - 1 for r in img.terms if r != unit), default=None
+            unit = (name,)
+            c_id = 0
+            delta = None
+            ordered = sorted(
+                ((len(r.arrows), r.arrows, cr) for r, cr in img.terms.items()),
+                key=itemgetter(0),
             )
-            info[name] = (c_id, delta, img)
-            if any(not r.arrows for r in img.terms):
+            for lr, r, cr in ordered:
+                if r == unit:
+                    c_id = cr
+                elif delta is None:
+                    delta = lr - 1
+            info[name] = (c_id, delta, ordered)
+            if ordered and ordered[0][0] == 0:
                 plus_lengths = False
         out = {}
         for p, c in x.terms.items():
@@ -137,16 +152,16 @@ class REndomorphism:
             while i < n and acc:
                 e = info.get(word[i])
                 if e is not None and e[1] is not None and e[1] <= slack:
-                    img = e[2]
+                    ordered = e[2]
                     i += 1
                     tail_min = n - i if plus_lengths else 0
                     nxt = {}
                     for w, cw in acc.items():
                         room = d - len(w) - tail_min
-                        for r, cr in img.terms.items():
-                            if len(r.arrows) > room:
-                                continue
-                            ext = w + r.arrows
+                        for lr, r, cr in ordered:
+                            if lr > room:
+                                break
+                            ext = w + r
                             s = nxt.get(ext, 0) + cw * cr
                             if s == 0:
                                 nxt.pop(ext, None)

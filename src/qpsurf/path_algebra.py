@@ -196,14 +196,26 @@ def canonicalize_rotation(quiver, p):
 
     Lexicographic order compares arrow declaration indices position by
     position.  Lazy paths pass through unchanged.
+
+    The minimal rotation starts at an arrow of minimal rank, so only those
+    start positions are candidates: their rotations are compared as slices
+    of the doubled rank key, and on a tie (a periodic word) the first
+    candidate wins, as it would among all rotations.
     """
     if not p.arrows:
         return p
     if not quiver.is_cycle(p):
         raise ValueError("cannot canonicalize a non-cycle: %r" % (p,))
     w = p.arrows
-    key = tuple(quiver.rank(nm) for nm in w)
-    best = min(range(len(w)), key=lambda i: key[i:] + key[:i])
+    key = list(map(quiver._rank.__getitem__, w))
+    low = min(key)
+    starts = [i for i, k in enumerate(key) if k == low]
+    if len(starts) == 1:
+        best = starts[0]
+    else:
+        n = len(key)
+        key += key
+        best = min(starts, key=lambda i: key[i : i + n])
     if best == 0:
         return p
     return Path(w[best:] + w[:best])
@@ -442,6 +454,8 @@ class Potential(_Graded):
             raise ValueError("potential term is not a cycle: %r" % (p,))
 
     def _key(self, p):
+        if not p.arrows:
+            raise ValueError("potential term is not a cycle: %r" % (p,))
         return canonicalize_rotation(self.quiver, p)
 
     @classmethod

@@ -106,6 +106,19 @@ class TestQuiverAndPotential:
         assert code == 2
         assert "OUTCOME: ERROR" in out
 
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ("1/0", "--x: zero denominator in '1/0'"),
+            ("abc", "--x: not a rational number: 'abc'"),
+            ("2, 3/0", "--x: zero denominator in '3/0'"),
+        ],
+    )
+    def test_bad_fraction_names_option_and_token(self, capsys, x, message):
+        code, out = run(capsys, "potential", "--triangulation", "torus", "--x", x)
+        assert code == 2
+        assert "ERROR: %s\n" % message in out
+
 
 class TestMutate:
     @pytest.fixture()
@@ -227,6 +240,10 @@ class TestAbsorb:
         )
         assert code == 2
 
+    def test_blank_coefficient_means_one(self, fig_tq):
+        blank = cli._powers_potential(fig_tq, 20, "p0:2= ,p1:3=")
+        assert blank == cli._powers_potential(fig_tq, 20, "p0:2=1,p1:3=1")
+
     def test_needs_an_input(self, capsys):
         code, out = run(
             capsys, "absorb", "--triangulation", "genus2p:1", "--x", "1,1"
@@ -316,6 +333,45 @@ class TestJacobianDim:
             capsys, "jacobian-dim", "--table", "2", "--triangulation", "genus2p:1"
         )
         assert code == 2
+
+
+class TestUsageErrors:
+    """A command line argparse rejects ends in an ERROR report, not SystemExit."""
+
+    def test_bad_option_value_writes_an_error_report(self, capsys, tmp_path):
+        rpt = tmp_path / "r.json"
+        code, out = run(
+            capsys, "--report", str(rpt),
+            "potential", "--triangulation", "torus", "--x", "1", "--n", "abc",
+        )
+        assert code == 2
+        assert "ERROR: qpsurf potential: argument --n: invalid int value: 'abc'" in out
+        assert "OUTCOME: ERROR" in out
+        stored = json.loads(rpt.read_text())
+        assert stored["outcome"] == "ERROR"
+        assert stored["command"] == ["potential", "--triangulation", "torus",
+                                     "--x", "1", "--n", "abc"]
+
+    def test_missing_required_option(self, capsys):
+        report = cli.run_command(["potential", "--x", "1"])
+        assert report.outcome == "ERROR"
+        assert "required: --triangulation" in report.details[0]
+
+    def test_unknown_subcommand(self, capsys):
+        code, out = run(capsys, "bogus")
+        assert code == 2
+        assert "invalid choice: 'bogus'" in out
+
+    def test_bad_perturbation_names_the_option(self, capsys):
+        code, out = run(capsys, "verify-flip", "--arc", "1", "--x", "1", "--perturb", "x")
+        assert code == 2
+        assert "ERROR: --perturb: not a rational number: 'x'" in out
+
+    def test_help_still_exits_cleanly(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["potential", "--help"])
+        assert exc.value.code == 0
+        assert "--triangulation" in capsys.readouterr().out
 
 
 class TestReports:

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from qpsurf.endo import (
@@ -16,7 +17,7 @@ from qpsurf.endo import (
     invert_unitriangular,
     limit_compose,
 )
-from qpsurf.path_algebra import Path, Potential, TruncatedElement
+from qpsurf.path_algebra import Path, Potential, Quiver, TruncatedElement
 
 
 def arrow_el(q, d, name, coeff=1):
@@ -107,6 +108,93 @@ class TestApply:
         x = TruncatedElement.from_path(q, 8, p, Fraction(5))
         out = phi.apply(x)
         assert out.terms == {p: Fraction(20)}  # (-2)^2 * 5
+
+
+def every_length_image(q, d, name, unit, rng):
+    """unit·arrow plus one parallel word, with a pool coefficient, at each length ≤ d.
+
+    Length 1 offers the other arrows with the same endpoints; ``unit`` may be
+    0, so the image need not contain its own arrow.  The terms are stored in
+    shuffled order, so apply() cannot rely on the image arriving sorted.
+    """
+    a = q.arrow(name)
+    by_length = {1: [(b.name,) for b in q.arrows if b.name != name
+                     and (b.tail, b.head) == (a.tail, a.head)]}
+    for w in oracles.parallel_words(q, name, d):
+        by_length.setdefault(len(w), []).append(w)
+    terms = [(Path((name,)), Fraction(unit))]
+    for words in by_length.values():
+        if words:
+            terms.append((Path(rng.choice(words)), rng.choice(
+                [Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)]
+            )))
+    rng.shuffle(terms)
+    return TruncatedElement(q, d, dict(terms))
+
+
+class TestLengthOrderedImages:
+    """apply() walks each image shortest term first and stops at the room left."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        unit=st.sampled_from([0, 1, -1, Fraction(1, 2)]),
+        degree=st.integers(3, 9),
+        nrules=st.integers(1, 4),
+    )
+    def test_matches_reference_with_images_of_every_length(
+        self, fig_tq, seed, unit, degree, nrules
+    ):
+        q = fig_tq.quiver
+        rng = random.Random(seed)
+        names = rng.sample([a.name for a in q.arrows], nrules)
+        phi = REndomorphism(
+            q, degree, {nm: every_length_image(q, degree, nm, unit, rng) for nm in names}
+        )
+        x = oracles.random_element(q, degree, rng, nterms=8)
+        assert oracles.element_words(phi.apply(x)) == oracles.naive_apply(phi, x)
+        pot = oracles.random_potential(q, degree, rng, nterms=4)
+        want = TruncatedElement(
+            q, degree,
+            {Path(w): c for w, c in oracles.naive_apply(phi, pot.as_element()).items()},
+        )
+        assert phi.apply(pot) == Potential.from_element(want)
+
+    def test_loop_sent_to_a_lazy_path(self):
+        # z -> e_u + z·z: applied to the potential z, the lazy term e_u must
+        # still be rejected, as Potential.from_element rejects it
+        q = Quiver(["u"], [("z", "u", "u")])
+        img = TruncatedElement(q, 6, {q.lazy_path("u"): 1, Path(("z", "z")): 1})
+        phi = REndomorphism(q, 6, {"z": img})
+        pot = Potential(q, 6, {Path(("z",)): 1})
+        with pytest.raises(ValueError, match="not a cycle"):
+            phi.apply(pot)
+        with pytest.raises(ValueError, match="not a cycle"):
+            Potential.from_element(phi.apply(pot.as_element()))
+        # on elements the lazy term is an ordinary term
+        out = phi.apply(pot.as_element())
+        assert out.terms == {q.lazy_path("u"): 1, Path(("z", "z")): 1}
+
+    def test_loop_potential_is_canonicalized_and_merged(self):
+        # z -> z + 2·y·z on zy + zzy + zyy: every output cycle comes back
+        # rotated to its minimal form (z before y), e.g. y·z·z·y as z·z·y·y,
+        # and y·y·z (from zy) merges with z·y·y (from zyy) into 3·z·y·y
+        q = Quiver(["u"], [("z", "u", "u"), ("y", "u", "u")])
+        img = TruncatedElement(q, 6, {Path(("z",)): 1, Path(("y", "z")): 2})
+        phi = REndomorphism(q, 6, {"z": img})
+        pot = Potential(q, 6, {Path(("y", "z")): 1, Path(("z", "z", "y")): 1,
+                               Path(("z", "y", "y")): 1})
+        out = phi.apply(pot)
+        assert out == Potential.from_element(phi.apply(pot.as_element()))
+        assert out.terms == {
+            Path(("z", "y")): 1,
+            Path(("z", "y", "y")): 3,
+            Path(("z", "y", "y", "y")): 2,
+            Path(("z", "z", "y")): 1,
+            Path(("z", "y", "z", "y")): 2,
+            Path(("z", "z", "y", "y")): 2,
+            Path(("z", "y", "z", "y", "y")): 4,
+        }
 
 
 class TestComposition:

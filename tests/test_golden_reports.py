@@ -1,0 +1,28 @@
+"""Stored reports re-run bit for bit.
+
+Each file in ``golden/reports`` is a ``qpsurf --report`` written before the
+substitution kernel took its current shape (length-ordered rule images,
+re-canonicalization without re-validation, candidate-start rotation).
+``--recheck`` re-runs its command and compares outcome and witnesses, so a
+kernel change that alters any witness fails here.
+"""
+
+import pathlib
+
+import pytest
+
+from qpsurf.cli import run_recheck
+
+REPORTS = sorted((pathlib.Path(__file__).parent / "golden" / "reports").glob("*.json"))
+
+
+def test_every_workload_kind_is_stored():
+    commands = {path.stem.split("_")[0] for path in REPORTS}
+    assert {"absorb", "verify", "jacobian"} <= commands
+
+
+@pytest.mark.parametrize("path", REPORTS, ids=lambda p: p.stem)
+def test_recheck_reproduces_the_stored_report(path):
+    report = run_recheck(str(path))
+    assert report.outcome == "PASS", report.details
+    assert report.witnesses["fresh_outcome"] == "PASS"

@@ -106,6 +106,30 @@ class TestRotationCanonicalForm:
         with pytest.raises(ValueError):
             canonicalize_rotation(q, q.path(["y", "x"]))
 
+    @pytest.mark.parametrize("surface", ["torus_tq", "fig_tq"])
+    def test_every_rotation_of_puncture_cycle_powers(self, surface, request):
+        # periodic words: the minimal rank recurs once per period, so several
+        # start positions tie and the first one must win
+        tq = request.getfixturevalue(surface)
+        q = tq.quiver
+        for punc in tq.punctures:
+            cyc = tq.puncture_cycle(punc.pid).arrows
+            for k in range(1, 48 // len(cyc) + 1):
+                w = cyc * k
+                for i in range(len(w)):
+                    p = Path(w[i:] + w[:i])
+                    assert canonicalize_rotation(q, p) == oracles.naive_min_rotation(q, p)
+
+    def test_random_powers_of_a_word(self, fig_tq):
+        q = fig_tq.quiver
+        rng = random.Random(404)
+        for _ in range(400):
+            u = oracles.random_cycle_word(q, rng, max_len=16)
+            w = u * rng.randint(2, 6)
+            i = rng.randrange(len(w))
+            p = Path(w[i:] + w[:i])
+            assert canonicalize_rotation(q, p) == oracles.naive_min_rotation(q, p)
+
 
 class TestTruncatedArithmetic:
     def test_multiplication_matches_naive(self, torus_tq):
