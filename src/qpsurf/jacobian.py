@@ -3,10 +3,12 @@
 The quotient A_{≤D} / (span{p·∂_α(S)·q} + 𝔪^{D+1}) is computed over the
 rationals.  Paths are indexed in graded-lexicographic order (longer paths
 rank higher, ties broken by arrow declaration order from the left); the
-index of a path is computed combinatorially from counting tables, so the
-full path set is never materialized.  Elimination keeps one pivot row per
-leading path, with the lead being the graded-lex greatest path of the row
-— reductions therefore express long paths through shorter ones.
+index of a path is a sum of per-arrow prefix-table entries, one per
+letter, so the full path set is never materialized.  Elimination keeps
+one pivot row per leading path, with the lead being the graded-lex
+greatest path of the row — reductions therefore express long paths
+through shorter ones.  Kill-rule status (see _Kills) is decided on each
+word as its row is built, so elimination never unranks an index.
 
 Finiteness certificate: if at some length L every path of that length
 either vanishes by a far-band rule or is a pivot, each of them rewrites
@@ -29,67 +31,65 @@ class _PathIndex:
 
     def __init__(self, quiver, bound):
         self.quiver = quiver
-        self.bound = bound
         self.vertex_pos = {v: i for i, v in enumerate(quiver.vertices)}
-        self.into = {v: [a for a in quiver.arrows if a.head == v] for v in quiver.vertices}
-        self.outof = {v: [a for a in quiver.arrows if a.tail == v] for v in quiver.vertices}
+        into = quiver.arrows_in
         # n_left[v][r] = number of length-r words whose leftmost arrow has head v.
-        self.n_left = {v: [1] + [0] * bound for v in quiver.vertices}
+        n_left = self.n_left = {v: [1] + [0] * bound for v in quiver.vertices}
         for r in range(1, bound + 1):
             for v in quiver.vertices:
-                self.n_left[v][r] = sum(
-                    self.n_left[a.tail][r - 1] for a in self.into[v]
-                )
+                n_left[v][r] = sum(n_left[a.tail][r - 1] for a in into[v])
         self.totals = [
-            sum(self.n_left[v][r] for v in quiver.vertices) for r in range(bound + 1)
+            sum(n_left[v][r] for v in quiver.vertices) for r in range(bound + 1)
         ]
         self.offsets = [0]
         for t in self.totals:
             self.offsets.append(self.offsets[-1] + t)
-
-    def total(self, length):
-        return self.totals[length]
+        # below[name][r] / first[name][r]: length-(r+1) words that start with
+        # an arrow ranked before `name` in its pool — the arrows into
+        # head(name) for a non-first letter, all arrows for the leftmost one.
+        # Declaration order is rank order, so every pool is already sorted.
+        self.below, self.first = {}, {}
+        pools = [(into[v], self.below) for v in quiver.vertices]
+        for pool, table in pools + [(quiver.arrows, self.first)]:
+            acc = [0] * bound
+            for b in pool:
+                table[b.name] = acc
+                acc = [x + y for x, y in zip(acc, n_left[b.tail])]
 
     def pid(self, word, at=None):
         """The graded-lex index of a path given as a word (or a vertex)."""
         if not word:
             return self.vertex_pos[at]
-        q = self.quiver
-        ell = len(word)
-        rank = 0
-        prev = None
-        for i, nm in enumerate(word):
-            wanted = q.rank(nm)
-            pool = q.arrows if i == 0 else self.into[q.tail(prev)]
-            for b in pool:
-                if q.rank(b.name) < wanted:
-                    rank += self.n_left[b.tail][ell - 1 - i]
-            prev = nm
-        return self.offsets[ell] + rank
+        below = self.below
+        r = len(word) - 1
+        rank = self.offsets[r + 1] + self.first[word[0]][r]
+        for nm in word[1:]:
+            r -= 1
+            rank += below[nm][r]
+        return rank
 
     def length_of(self, pid):
         return bisect_right(self.offsets, pid) - 1
 
     def unrank(self, pid):
         """The path with the given graded-lex index."""
+        if not 0 <= pid < self.offsets[-1]:
+            raise IndexError("path index out of range")
         q = self.quiver
         ell = self.length_of(pid)
         r = pid - self.offsets[ell]
         if ell == 0:
             return Path((), q.vertices[r])
         word = []
-        prev = None
-        for i in range(ell):
-            pool = q.arrows if i == 0 else self.into[q.tail(prev)]
-            for b in sorted(pool, key=lambda a: q.rank(a.name)):
-                c = self.n_left[b.tail][ell - 1 - i]
+        pool = q.arrows
+        for left in range(ell - 1, -1, -1):
+            for b in pool:
+                c = self.n_left[b.tail][left]
                 if r < c:
                     word.append(b.name)
-                    prev = b.name
+                    pool = q.arrows_in[b.tail]
                     break
                 r -= c
-            else:
-                raise IndexError("path index out of range")
         return Path(tuple(word))
 
     def words_left(self, v, length):
@@ -97,7 +97,7 @@ class _PathIndex:
         if length == 0:
             return [()]
         out = []
-        for a in self.into[v]:
+        for a in self.quiver.arrows_in[v]:
             for rest in self.words_left(a.tail, length - 1):
                 out.append((a.name,) + rest)
         return out
@@ -107,7 +107,7 @@ class _PathIndex:
         if length == 0:
             return [()]
         out = []
-        for a in self.outof[v]:
+        for a in self.quiver.arrows_out[v]:
             for pre in self.words_right(a.head, length - 1):
                 out.append(pre + (a.name,))
         return out
@@ -134,17 +134,21 @@ class TruncatedQuotient:
     _pivots: dict
     _kills: object
 
+    def _pid(self, p):
+        """The index of a Path or a word, once checked to be a path of the window."""
+        p = p if isinstance(p, Path) else Path(tuple(p))
+        self.qp.quiver.check_path(p)
+        if len(p) > self.degree:
+            raise ValueError("path of length %d is beyond degree %d" % (len(p), self.degree))
+        return self._index.pid(p.arrows, p.at)
+
     def reduce_path(self, p):
         """The residue of a path in the quotient, as {Path: coefficient}."""
-        if isinstance(p, Path):
-            pid = self._index.pid(p.arrows, p.at)
-        else:
-            pid = self._index.pid(tuple(p))
-        row = _reduce_against(self._pivots, {pid: Fraction(1)}, self._kills)
+        row = _reduce_against(self._pivots, {self._pid(p): Fraction(1)}, self._kills)
         return {self._index.unrank(i): c for i, c in row.items()}
 
     def is_basis_path(self, p):
-        pid = self._index.pid(p.arrows, p.at)
+        pid = self._pid(p)
         return pid not in self._pivots and not self._kills.killed_pid(pid)
 
 
@@ -163,31 +167,35 @@ class _Kills:
     def __init__(self, index):
         self.index = index
         self.rules = []
-        self._memo = {}
+        # One character per arrow, so that a subword test is a substring test.
+        self.letter = {a.name: chr(i) for i, a in enumerate(index.quiver.arrows)}
+        self.spelled = []
+        # pid -> killed?  Elimination fills it from the words it builds;
+        # killed_pid falls back to unranking only for other indices.
+        self.memo = {}
 
     def add(self, word, min_length):
-        self.rules.append((tuple(word), min_length))
-        self._memo.clear()
+        word = tuple(word)
+        self.rules.append((word, min_length))
+        self.spelled.append((self.spell(word), min_length))
+        self.memo.clear()
 
-    def __bool__(self):
-        return bool(self.rules)
+    def spell(self, word):
+        return "".join(map(self.letter.__getitem__, word))
 
     def killed_word(self, word):
         n = len(word)
-        for w, ml in self.rules:
-            k = len(w)
-            if n < ml or n < k:
-                continue
-            for i in range(n - k + 1):
-                if word[i:i + k] == w:
-                    return True
+        s = self.spell(word)
+        for w, ml in self.spelled:
+            if n >= ml and w in s:
+                return True
         return False
 
     def killed_pid(self, pid):
-        hit = self._memo.get(pid)
+        hit = self.memo.get(pid)
         if hit is None:
             hit = self.killed_word(self.index.unrank(pid).arrows)
-            self._memo[pid] = hit
+            self.memo[pid] = hit
         return hit
 
     def counts(self, quiver, totals, degree):
@@ -216,7 +224,6 @@ def _avoid_counts(quiver, words, upto):
     """
     wordset = {tuple(w) for w in words}
     K = max(len(w) for w in wordset)
-    into = {v: [a for a in quiver.arrows if a.head == v] for v in quiver.vertices}
     counts = [0] * (upto + 1)
     counts[0] = len(quiver.vertices)
     if upto == 0:
@@ -232,7 +239,7 @@ def _avoid_counts(quiver, words, upto):
     for ell in range(2, upto + 1):
         nxt = {}
         for (tail, win), cnt in states.items():
-            for b in into[tail]:
+            for b in quiver.arrows_in[tail]:
                 ext = win + (b.name,)
                 if any(ext[-len(w):] == w for w in wordset):
                     continue
@@ -334,9 +341,11 @@ def quotient_dimension(qp, degree):
         plans.append((name, gen, enum_cap))
 
     pivots = {}
+    killed = kills.memo
     for name, gen, enum_cap in plans:
         hv, tv = q.head(name), q.tail(name)
         terms = list(gen.terms.items())
+        rights = [index.words_right(tv, a) for a in range(enum_cap + 1)]
         for b in range(enum_cap + 1):
             for qword in index.words_left(hv, b):
                 for a in range(enum_cap - b + 1):
@@ -344,13 +353,15 @@ def quotient_dimension(qp, degree):
                         (t, c) for t, c in terms
                         if len(t.arrows) + a + b <= degree
                     ]
-                    for pword in index.words_right(tv, a):
+                    for pword in rights[a]:
                         row = {}
                         for tpath, coeff in live:
                             word = pword + tpath.arrows + qword
                             at = None if word else tpath.at
                             pid = index.pid(word, at)
-                            row[pid] = row.get(pid, Fraction(0)) + coeff
+                            if pid not in killed:
+                                killed[pid] = kills.killed_word(word)
+                            row[pid] = row[pid] + coeff if pid in row else coeff
                         _install(pivots, row, kills)
 
     pivots_at = [0] * (degree + 1)
@@ -358,7 +369,7 @@ def quotient_dimension(qp, degree):
         pivots_at[index.length_of(lead)] += 1
     killed_at = kills.counts(q, index.totals, degree)
     computed = [
-        index.total(l) - pivots_at[l] - killed_at[l] for l in range(degree + 1)
+        index.totals[l] - pivots_at[l] - killed_at[l] for l in range(degree + 1)
     ]
     if any(c < 0 for c in computed):
         raise RuntimeError("more pivots than paths at some length")

@@ -212,8 +212,30 @@ _COEFF_POOL = [
 ]
 
 
+def shortest_cycle_length(quiver):
+    """Length of the shortest cycle, by breadth-first search; None if acyclic."""
+    best = None
+    for v in quiver.vertices:
+        frontier, seen = {v}, set()
+        for length in range(1, len(quiver.vertices) + 1):
+            frontier = {a.tail for a in quiver.arrows if a.head in frontier} - seen
+            if v in frontier:
+                best = length if best is None else min(best, length)
+                break
+            seen |= frontier
+    return best
+
+
 def random_cycle_word(quiver, rng, max_len=10):
-    """A random closed word (arrows may repeat), as a tuple of names."""
+    """A random closed word (arrows may repeat), as a tuple of names.
+
+    Raises ValueError when the quiver has no cycle of length <= max_len.
+    """
+    shortest = shortest_cycle_length(quiver)
+    if shortest is None or shortest > max_len:
+        raise ValueError(
+            "no cycle of length <= %d (shortest: %s)" % (max_len, shortest)
+        )
     arrows = list(quiver.arrows)
     while True:
         a = rng.choice(arrows)
@@ -328,6 +350,23 @@ def _paths_by_length(quiver, degree):
     return out
 
 
+def graded_lex_paths(quiver, degree):
+    """Every path of length <= degree, in graded-lex order, as Paths.
+
+    Lazy paths come first in vertex order; longer paths follow by length,
+    and within a length by the arrow ranks read from the left.
+    """
+    by_len = _paths_by_length(quiver, degree)
+    out = [Path((), v) for _, v in by_len[0]]
+    for length in range(1, degree + 1):
+        words = sorted(
+            (w for w, _ in by_len[length]),
+            key=lambda w: [quiver.rank(nm) for nm in w],
+        )
+        out.extend(Path(w) for w in words)
+    return out
+
+
 def brute_quotient_dims(quiver, pot, degree, generators):
     """Per-length dimensions of the truncated Jacobian quotient.
 
@@ -336,20 +375,11 @@ def brute_quotient_dims(quiver, pot, degree, generators):
     and counts surviving paths per length.  Exponential in the degree;
     keep the degree small.
     """
-    ranked = {}
     by_len = _paths_by_length(quiver, degree)
-    counter = 0
-    for length in range(degree + 1):
-        words = sorted(
-            (w for w, _ in by_len[length]),
-            key=lambda w: tuple(quiver.rank(nm) for nm in w) if w else (),
-        )
-        for w in words:
-            ranked[(length, w)] = counter
-            counter += 1
+    ranked = {p.arrows: i for i, p in enumerate(graded_lex_paths(quiver, degree))}
 
     def key_of(word):
-        return ranked[(len(word), word)]
+        return ranked[word]
 
     left_words = {}
     right_words = {}

@@ -12,6 +12,7 @@ import pytest
 import oracles
 from qpsurf.jacobian import (
     TruncatedQuotient,
+    _PathIndex,
     g_path_independence_check,
     jacobian_generators,
     quotient_dimension,
@@ -67,6 +68,25 @@ class TestGenerators:
 
         for a, gen in zip(torus_tq.quiver.arrows, gens):
             assert gen == cyclic_derivative(qp.potential, a.name)
+
+
+class TestPathIndex:
+    @pytest.mark.parametrize(
+        "fixture,bound", [("torus_tq", 9), ("fig_tq", 8), ("fig_g2_tq", 6)]
+    )
+    def test_matches_brute_force_order(self, request, fixture, bound):
+        q = request.getfixturevalue(fixture).quiver
+        index = _PathIndex(q, bound)
+        want = oracles.graded_lex_paths(q, bound)
+        assert index.offsets[-1] == len(want)
+        for i, p in enumerate(want):
+            assert index.unrank(i) == p
+            assert index.pid(p.arrows, p.at) == i
+            assert index.length_of(i) == len(p.arrows)
+        with pytest.raises(IndexError):
+            index.unrank(index.offsets[bound + 1])
+        with pytest.raises(IndexError):
+            index.unrank(-1)
 
 
 class TestGoldenDimensions:
@@ -125,10 +145,18 @@ class TestCertificate:
         b, _ = quotient_dimension(qp, 13)
         c, _ = quotient_dimension(qp, 14)
         assert a.certified and b.certified and c.certified
+        assert (a.dimension, a.certificate_length) == (36, 5)
         assert a.dimension == b.dimension == c.dimension
         assert a.certificate_length == b.certificate_length == c.certificate_length
         assert list(a.per_degree) == list(b.per_degree)[:13]
         assert list(b.per_degree) == list(c.per_degree)[:14]
+
+    def test_family_stable_at_two_higher_degrees(self, fig_tq):
+        for d in (13, 14, 15):
+            qp = QP(fig_tq.quiver, potential_S(fig_tq, (1, Fraction(-1, 3)), d))
+            quo, certified = quotient_dimension(qp, d)
+            assert certified
+            assert (quo.dimension, quo.certificate_length) == (80, 7)
 
     def test_zero_potential_on_an_acyclic_quiver(self):
         q = Quiver(["u", "v"], [("x", "u", "v")])
@@ -176,6 +204,23 @@ class TestReduction:
         for p in quo.basis:
             assert quo.is_basis_path(p)
             assert quo.reduce_path(p) == {p: Fraction(1)}
+
+    def test_non_composable_word_rejected(self, quo):
+        # a1: 1 -> 2 and b1: 2 -> 3, so b1 then a1 does not compose.
+        with pytest.raises(ValueError, match="not composable"):
+            quo.reduce_path(("a1", "b1"))
+        with pytest.raises(ValueError, match="not composable"):
+            quo.is_basis_path(Path(("a1", "a2")))
+
+    def test_unknown_arrow_rejected(self, quo):
+        with pytest.raises(ValueError, match="unknown arrow"):
+            quo.reduce_path(("zz",))
+
+    def test_path_beyond_the_degree_rejected(self, quo, torus_tq):
+        tri = torus_tq.triangle_cycle(0).arrows
+        long = Path((tri * 5)[: quo.degree + 1])
+        with pytest.raises(ValueError, match="beyond degree"):
+            quo.reduce_path(long)
 
     def test_long_paths_collapse_onto_the_basis(self, quo, torus_tq):
         q = torus_tq.quiver
