@@ -1,9 +1,8 @@
 """Right-equivalence normalization pipeline for surface potentials.
 
-Every operation here returns the substitution that realizes its claim, so
-callers can re-verify the equivalence independently — the tests always do.
+Every operation here returns the substitution that realizes its claim.
 All stages are truncation-exact: nothing of length ≤ D is silently
-dropped, and each stage asserts its own inequality contract and fails
+dropped, and each stage checks its own inequality contract and fails
 loudly otherwise.
 
 The stages, in pipeline order: split a potential along the cycle
@@ -13,6 +12,13 @@ trade until only powers of puncture cycles remain; walk a single pinched
 cycle around its puncture step by step (the ζ moves) and absorb it; and
 finally absorb all higher powers of the puncture cycles on the
 two-puncture family, leaving the bare weighted-cycle potential.
+
+Each public function re-verifies its witness exactly once, just before it
+returns: it applies the witness to the input and compares the result with
+the claimed output up to cyclic equivalence.  Nested stages are private
+generators (``_normal_form_rounds``, ``_walk``) that yield their factors
+into the caller's one stream and keep their cheap invariant checks, but
+never re-apply a witness.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from fractions import Fraction
 from math import inf
 import warnings
 
-from .endo import REndomorphism, compose, compose_all, limit_compose
+from .endo import REndomorphism, limit_compose
 from .path_algebra import (
     Path,
     Potential,
@@ -194,6 +200,66 @@ def lengthen(tq, symbol, w_pot, a_pot):
     return phi, b_pot
 
 
+def _compose_stream(stream, quiver, degree):
+    """Compose the factors a stage generator yields; return (composite, its result).
+
+    No factor of a stage is the identity, so each has depth below the degree
+    and ``limit_compose`` runs the stream to its end.
+    """
+    result = []
+
+    def factors():
+        result.append((yield from stream))
+
+    return limit_compose(factors(), quiver, degree), result[0]
+
+
+def _reverify(phi, before, after, what):
+    """The one exact check of a public call: φ(before) is cyclically equivalent to after."""
+    if not is_cyclically_equivalent(phi.apply(before), after):
+        raise RuntimeError("%s failed exact re-verification" % what)
+
+
+def _normal_form_rounds(tq, z_pot, u_pot):
+    """Yield the lengthening factors of the g-normal form of U; return W.
+
+    Z and U share one degree.  Checks termination, two-step growth, that
+    new puncture-power terms come out long enough, and that W holds only
+    puncture-cycle powers with short(W) ≥ short(U).
+    """
+    d = u_pot.degree
+    _check_disjoint_from_triangles(tq, z_pot, "Z")
+    _check_disjoint_from_triangles(tq, u_pot, "U")
+    first = split(tq, u_pot)
+    w, u = first.s_g, u_pot - first.s_g
+    shorts = [u.short]
+    rounds = 0
+    while not u.is_zero:
+        rounds += 1
+        if rounds > 2 * d + 4:
+            raise RuntimeError("normal-form loop failed to terminate")
+        parts = split(tq, u)
+        symbol = "f" if parts.s_f.short <= parts.s_fg.short else "fg"
+        phi_n, b_pot = lengthen(tq, symbol, z_pot + w, u)
+        b_parts = split(tq, b_pot)
+        if not b_parts.s_g.is_zero and b_parts.s_g.short < shorts[-1] + 1:
+            raise RuntimeError("new puncture-power terms appeared too short")
+        w = w + b_parts.s_g
+        u = b_pot - b_parts.s_g
+        shorts.append(u.short)
+        if len(shorts) >= 3 and shorts[-1] != inf and shorts[-1] < shorts[-3] + 1:
+            raise RuntimeError(
+                "two-step growth violated: shorts %r" % (shorts[-3:],)
+            )
+        yield phi_n
+    final_parts = split(tq, w)
+    if not (final_parts.s_f.is_zero and final_parts.s_fg.is_zero):
+        raise RuntimeError("normal form retains non-puncture-power terms")
+    if w.short < u_pot.short:
+        raise RuntimeError("normal form shortened the potential")
+    return w
+
+
 def g_normal_form(tq, z_pot, u_pot):
     """Iterate the lengthening trade until only puncture-cycle powers remain.
 
@@ -203,53 +269,15 @@ def g_normal_form(tq, z_pot, u_pot):
     its substitution dust is recycled into the loop state.
     """
     _require_conditions(tq)
-    q = tq.quiver
     d = min(z_pot.degree, u_pot.degree)
     z_pot = z_pot.truncate(d)
     u_pot = u_pot.truncate(d)
-    t_pot = potential_T(tq, d)
-    _check_disjoint_from_triangles(tq, z_pot, "Z")
-    _check_disjoint_from_triangles(tq, u_pot, "U")
-    short_u = u_pot.short
-
-    first = split(tq, u_pot)
-    state = {"w": first.s_g, "u": u_pot - first.s_g, "rounds": 0}
-    shorts = [state["u"].short]
-
-    def factor_stream():
-        while not state["u"].is_zero:
-            state["rounds"] += 1
-            if state["rounds"] > 2 * d + 4:
-                raise RuntimeError("normal-form loop failed to terminate")
-            parts = split(tq, state["u"])
-            symbol = "f" if parts.s_f.short <= parts.s_fg.short else "fg"
-            phi_n, b_pot = lengthen(tq, symbol, z_pot + state["w"], state["u"])
-            b_parts = split(tq, b_pot)
-            if not b_parts.s_g.is_zero and b_parts.s_g.short < shorts[-1] + 1:
-                raise RuntimeError("new puncture-power terms appeared too short")
-            state["w"] = state["w"] + b_parts.s_g
-            state["u"] = b_pot - b_parts.s_g
-            shorts.append(state["u"].short)
-            if len(shorts) >= 3 and shorts[-1] != inf and shorts[-1] < shorts[-3] + 1:
-                raise RuntimeError(
-                    "two-step growth violated: shorts %r" % (shorts[-3:],)
-                )
-            yield phi_n
-
-    phi = limit_compose(factor_stream(), q, d)
-    w_final = state["w"]
-    final_parts = split(tq, w_final)
-    if not (final_parts.s_f.is_zero and final_parts.s_fg.is_zero):
-        raise RuntimeError("normal form retains non-puncture-power terms")
-    if w_final.short < short_u:
-        raise RuntimeError("normal form shortened the potential")
-    if not u_pot.is_zero and phi.depth() < short_u - 3:
+    phi, w_pot = _compose_stream(_normal_form_rounds(tq, z_pot, u_pot), tq.quiver, d)
+    if not u_pot.is_zero and phi.depth() < u_pot.short - 3:
         raise RuntimeError("witness depth below short(U) - 3")
-    lhs = phi.apply(t_pot + z_pot + u_pot)
-    rhs = t_pot + z_pot + w_final
-    if not is_cyclically_equivalent(lhs, rhs):
-        raise RuntimeError("normal-form witness failed re-verification")
-    return phi, w_final
+    t_pot = potential_T(tq, d)
+    _reverify(phi, t_pot + z_pot + u_pot, t_pot + z_pot + w_pot, "normal-form witness")
+    return phi, w_pot
 
 
 # ----------------------------------------------------------------------
@@ -279,9 +307,7 @@ def w_cycle(tq, t, wd):
 
 
 def _w_potential(tq, degree, t, wd):
-    return Potential(
-        tq.quiver, degree, {w_cycle(tq, t, wd): Fraction(wd.lam)}
-    )
+    return Potential(tq.quiver, degree, {w_cycle(tq, t, wd): Fraction(wd.lam)})
 
 
 def _check_disjoint_from(base, pot, what):
@@ -292,18 +318,10 @@ def _check_disjoint_from(base, pot, what):
         )
 
 
-def zeta_step(tq, x, m, t, u_pot, wd):
-    """One walk step: trade W = λf(a)aG(t,·)c against the base potential.
-
-    Substituting f⁻¹(a) ↦ f⁻¹(a) − λG(t, g^{-t}(a))c cancels W against the
-    triangle term of f⁻¹(a) and converts the puncture term it sits on into
-    the next cycle W′, one g-step shorter in t but longer overall.  Returns
-    (ζ, U′, W′-data) and verifies ζ(S+U+W) = S+U+U′+W′ exactly.
-    """
+def _zeta_step(tq, xs, s_pot, m, t, u_pot, wd):
+    """The walk step of ``zeta_step`` with every check but the exact one."""
     q = tq.quiver
     d = u_pot.degree
-    xs = _coerce_x(tq, x)
-    s_pot = potential_S(tq, xs, d)
     if t < 1:
         raise ValueError("the g-run length t must be positive")
     if Fraction(wd.lam) == 0:
@@ -337,23 +355,53 @@ def zeta_step(tq, x, m, t, u_pot, wd):
         raise RuntimeError("unexpected step depth %s" % zeta.depth())
 
     u_prime = zeta.apply(u_pot + w_pot) - (u_pot + w_pot)
-    pid = tq.puncture_of(target)
-    lam2 = -Fraction(wd.lam) * xs[pid]
-    b = tq.g_of(a, -1)
-    c2 = q.path(wd.c.arrows + tq.g_path(tq.m_of(target) - 2, tq.g_of(target, 2)).arrows)
-    wd2 = WData(lam2, b, c2)
-    w2_pot = _w_potential(tq, d, t - 1, wd2)
-
-    lhs = zeta.apply(s_pot + u_pot + w_pot)
-    rhs = s_pot + u_pot + u_prime + w2_pot
-    if not is_cyclically_equivalent(lhs, rhs):
-        raise RuntimeError("step identity failed exact re-verification")
     if not u_prime.short > m:
         raise RuntimeError("short(U') = %s is not > m = %d" % (u_prime.short, m))
-    short_w2 = (t - 1) + 2 + len(c2)
-    if short_w2 != tq.m_of(target) - 2 + short_w - 1:
+    lam2 = -Fraction(wd.lam) * xs[tq.puncture_of(target)]
+    c2 = q.path(wd.c.arrows + tq.g_path(tq.m_of(target) - 2, tq.g_of(target, 2)).arrows)
+    if (t - 1) + 2 + len(c2) != tq.m_of(target) - 2 + short_w - 1:
         raise RuntimeError("short(W') does not match the predicted value")
+    return zeta, u_prime, WData(lam2, tq.g_of(a, -1), c2)
+
+
+def zeta_step(tq, x, m, t, u_pot, wd):
+    """One walk step: trade W = λf(a)aG(t,·)c against the base potential.
+
+    Substituting f⁻¹(a) ↦ f⁻¹(a) − λG(t, g^{-t}(a))c cancels W against the
+    triangle term of f⁻¹(a) and converts the puncture term it sits on into
+    the next cycle W′, one g-step shorter in t but longer overall.  Returns
+    (ζ, U′, W′-data) and verifies ζ(S+U+W) = S+U+U′+W′ exactly.
+    """
+    d = u_pot.degree
+    xs = _coerce_x(tq, x)
+    s_pot = potential_S(tq, xs, d)
+    zeta, u_prime, wd2 = _zeta_step(tq, xs, s_pot, m, t, u_pot, wd)
+    before = s_pot + u_pot + _w_potential(tq, d, t, wd)
+    after = s_pot + u_pot + u_prime + _w_potential(tq, d, t - 1, wd2)
+    _reverify(zeta, before, after, "step identity")
     return zeta, u_prime, wd2
+
+
+def _walk(tq, xs, s_pot, m, t, u_pot, wd):
+    """Yield the ζ-steps around the puncture, then the normal-form factors; return ξ."""
+    if len(wd.c) != 1:
+        raise ValueError("absorption needs the closing path c to be a single arrow")
+    d = u_pot.degree
+    z_sum = Potential.zero(tq.quiver, d)
+    while t >= 1:
+        if _w_potential(tq, d, t, wd).is_zero:
+            # The walked cycle grew past the truncation degree: nothing
+            # left to trade, the remaining steps are identities.
+            break
+        zeta, z_new, wd = _zeta_step(tq, xs, s_pot, m, t, u_pot + z_sum, wd)
+        z_sum = z_sum + z_new
+        t -= 1
+        yield zeta
+    z_pot = (s_pot - potential_T(tq, d)) + u_pot
+    xi = yield from _normal_form_rounds(tq, z_pot, z_sum + _w_potential(tq, d, t, wd))
+    if not xi.short > m:
+        raise RuntimeError("short(ξ) = %s is not > m = %d" % (xi.short, m))
+    return xi
 
 
 def absorb_cycle(tq, x, m, t, u_pot, wd):
@@ -364,42 +412,14 @@ def absorb_cycle(tq, x, m, t, u_pot, wd):
     ≥ min(m−3, short(W)−3) carrying S+U+W to S+U+ξ, with ξ a sum of
     puncture-cycle powers, short(ξ) > m.
     """
-    if len(wd.c) != 1:
-        raise ValueError("absorption needs the closing path c to be a single arrow")
-    q = tq.quiver
     d = u_pot.degree
     xs = _coerce_x(tq, x)
     s_pot = potential_S(tq, xs, d)
-    short_w0 = t + 2 + len(wd.c)
-    w0_pot = _w_potential(tq, d, t, wd)
-
-    zetas = []
-    z_sum = Potential.zero(q, d)
-    cur_u, cur_t, cur_wd = u_pot, t, wd
-    while cur_t >= 1:
-        if _w_potential(tq, d, cur_t, cur_wd).is_zero:
-            # The walked cycle grew past the truncation degree: nothing
-            # left to trade, the remaining steps are identities.
-            break
-        zeta, z_new, cur_wd = zeta_step(tq, xs, m, cur_t, cur_u, cur_wd)
-        zetas.append(zeta)
-        z_sum = z_sum + z_new
-        cur_u = cur_u + z_new
-        cur_t -= 1
-    zeta_chain = compose_all(zetas, q, d)
-
-    w_t_pot = _w_potential(tq, d, cur_t, cur_wd)
-    phi, xi = g_normal_form(tq, (s_pot - potential_T(tq, d)) + u_pot, z_sum + w_t_pot)
-    pi = compose(phi, zeta_chain)
-
-    lhs = pi.apply(s_pot + u_pot + w0_pot)
-    rhs = s_pot + u_pot + xi
-    if not is_cyclically_equivalent(lhs, rhs):
-        raise RuntimeError("absorption witness failed exact re-verification")
-    if not xi.short > m:
-        raise RuntimeError("short(ξ) = %s is not > m = %d" % (xi.short, m))
-    if pi.depth() < min(m - 3, short_w0 - 3):
+    pi, xi = _compose_stream(_walk(tq, xs, s_pot, m, t, u_pot, wd), tq.quiver, d)
+    if pi.depth() < min(m - 3, t + len(wd.c) - 1):  # short(W) - 3
         raise RuntimeError("absorption witness depth %s below bound" % pi.depth())
+    before = s_pot + u_pot + _w_potential(tq, d, t, wd)
+    _reverify(pi, before, s_pot + u_pot + xi, "absorption witness")
     return pi, xi
 
 
@@ -467,16 +487,16 @@ def absorb_g_powers(tq, x, v_pot):
                 "change the base potential" % pid
             )
 
-    state = {"v": v_pot, "rounds": 0}
-
     def factor_stream():
-        while not state["v"].is_zero:
-            state["rounds"] += 1
-            if state["rounds"] > d:
+        v = v_pot
+        rounds = 0
+        while not v.is_zero:
+            rounds += 1
+            if rounds > d:
                 raise RuntimeError("absorption failed to terminate")
-            m = state["v"].short
+            m = v.short
             for punc in order:
-                by_n = decompose_g_powers(tq, state["v"])[punc.pid]
+                by_n = decompose_g_powers(tq, v)[punc.pid]
                 if not by_n:
                     continue
                 r = min(by_n)
@@ -495,24 +515,19 @@ def absorb_g_powers(tq, x, v_pot):
                 t = punc.valency * (r - 1)
                 wd = WData(-lam / xs[punc.pid], a_p, Path((tq.f_of(a_p, 2),)))
                 w_pot = _w_potential(tq, d, t, wd)
-                u_resid = upsilon.apply(s_pot + state["v"]) - s_pot - w_pot
+                u_resid = upsilon.apply(s_pot + v) - s_pot - w_pot
                 if not u_resid.is_zero and u_resid.short < m:
                     raise RuntimeError("divide-out residual came out too short")
                 decompose_g_powers(tq, u_resid)  # must stay a sum of powers
                 yield upsilon
                 if w_pot.is_zero:
-                    state["v"] = u_resid
+                    v = u_resid
                     continue
-                pi, xi = absorb_cycle(tq, xs, m, t, u_resid, wd)
-                state["v"] = u_resid + xi
-                yield pi
-            if not state["v"].is_zero and state["v"].short <= m:
-                raise RuntimeError(
-                    "no progress: short stayed at %s" % state["v"].short
-                )
+                xi = yield from _walk(tq, xs, s_pot, m, t, u_resid, wd)
+                v = u_resid + xi
+            if not v.is_zero and v.short <= m:
+                raise RuntimeError("no progress: short stayed at %s" % v.short)
 
     phi = limit_compose(factor_stream(), q, d)
-    lhs = phi.apply(s_pot + v_pot)
-    if not is_cyclically_equivalent(lhs, s_pot):
-        raise RuntimeError("absorption witness failed exact re-verification")
+    _reverify(phi, s_pot + v_pot, s_pot, "absorption witness")
     return phi

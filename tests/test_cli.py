@@ -223,6 +223,15 @@ class TestNormalize:
         code, out = run(capsys, "normalize", "--triangulation", "torus")
         assert code == 2
 
+    def test_random_draws_stay_within_the_degree(self, capsys):
+        # every cycle of length 4..6 lies beyond degree 3: nothing to draw
+        code, out = run(
+            capsys, "normalize", "--triangulation", "genus2p:1",
+            "--random", "1", "--degree", "3",
+        )
+        assert code == 2
+        assert "no cycles in the requested length window" in out
+
 
 class TestAbsorb:
     def test_hub_square(self, capsys):
@@ -239,6 +248,35 @@ class TestAbsorb:
             "--x", "1,1", "--powers", "p0:1=1", "--degree", "20",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("powers", ["p0:2=0", "p0:2=1,p0:2=-1"])
+    def test_zero_v_is_absorbed_by_the_identity(self, capsys, powers):
+        code, out = run(
+            capsys, "absorb", "--triangulation", "genus2p:1",
+            "--x", "1,1", "--powers", powers, "--degree", "20",
+        )
+        assert code == 0
+        assert "V terms: 0, short(V)=inf, D=20" in out
+        assert "endomorphism depth: inf, rules: 0" in out
+        assert "PASS carries S+V to S exactly" in out
+
+    @pytest.mark.parametrize(
+        "powers, message",
+        [
+            ("p0:2=1,p1:9=5", "--powers: term 'p1:9=5' has length 36, beyond degree 20"),
+            ("p0:3=1", "--powers: term 'p0:3=1' has length 24, beyond degree 20"),
+            ("p9:2=1", "--powers: unknown puncture 'p9'"),
+            ("p0:x=1", "--powers: not a positive integer power: 'x'"),
+            ("p0:0=1", "--powers: not a positive integer power: '0'"),
+        ],
+    )
+    def test_bad_power_is_an_error(self, capsys, powers, message):
+        code, out = run(
+            capsys, "absorb", "--triangulation", "genus2p:1",
+            "--x", "1,1", "--powers", powers, "--degree", "20",
+        )
+        assert code == 2
+        assert message in out
 
     def test_blank_coefficient_means_one(self, fig_tq):
         blank = cli._powers_potential(fig_tq, 20, "p0:2= ,p1:3=")
@@ -419,3 +457,9 @@ class TestSeededPotentials:
             for p, c in pot.terms.items():
                 assert 4 <= len(p.arrows) <= 6
                 assert c != 0
+
+    def test_draws_no_term_beyond_the_degree(self, fig_tq):
+        for seed in range(20):
+            pot = cli.random_cycle_potential(fig_tq, 5, random.Random(seed))
+            assert pot.terms
+            assert all(4 <= len(p.arrows) <= 5 for p in pot.terms)

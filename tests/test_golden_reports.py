@@ -1,10 +1,12 @@
 """Stored reports re-run bit for bit.
 
-Each file in ``golden/reports`` is a ``qpsurf --report`` written before the
+Each file in ``golden/reports`` is a ``qpsurf --report`` written by an
+earlier version: the absorb, verify-flip and jacobian reports before the
 substitution kernel took its current shape (length-ordered rule images,
-re-canonicalization without re-validation, candidate-start rotation).
+re-canonicalization without re-validation, candidate-start rotation), the
+normalize report before the absorption pipeline became one factor stream.
 ``--recheck`` re-runs its command and compares outcome and witnesses, so a
-kernel change that alters any witness fails here.
+change that alters any witness fails here.
 """
 
 import pathlib
@@ -18,7 +20,7 @@ REPORTS = sorted((pathlib.Path(__file__).parent / "golden" / "reports").glob("*.
 
 def test_every_workload_kind_is_stored():
     commands = {path.stem.split("_")[0] for path in REPORTS}
-    assert {"absorb", "verify", "jacobian"} <= commands
+    assert {"absorb", "verify", "jacobian", "normalize"} <= commands
 
 
 @pytest.mark.parametrize("path", REPORTS, ids=lambda p: p.stem)

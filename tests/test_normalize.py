@@ -9,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from qpsurf import normalize
+from qpsurf.endo import REndomorphism
 from qpsurf.normalize import (
     WData,
     absorb_cycle,
@@ -307,6 +309,80 @@ class TestAbsorbGPowers:
     def test_conditions_are_required(self, torus_tq):
         with pytest.raises(ValueError, match="standing conditions"):
             absorb_g_powers(torus_tq, 1, Potential.zero(torus_tq.quiver, 20))
+
+
+class TestOneExactCheck:
+    """Each public call re-applies its witness once; nested stages never do."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        equivalent = normalize.is_cyclically_equivalent
+
+        def counted(a, b):
+            calls.append(1)
+            return equivalent(a, b)
+
+        monkeypatch.setattr(normalize, "is_cyclically_equivalent", counted)
+        return calls
+
+    @pytest.fixture
+    def corrupt_lengthen(self, monkeypatch):
+        """Make lengthen return a factor whose corrections are doubled.
+
+        The state it returns stays right, so every cheap invariant still
+        holds and only the exact check of the composite can notice.
+        """
+        calls = []
+        honest = normalize.lengthen
+
+        def corrupted(tq, symbol, w_pot, a_pot):
+            phi, b_pot = honest(tq, symbol, w_pot, a_pot)
+            calls.append(1)
+            rules = {
+                name: img + img - TruncatedElement.from_arrow(phi.quiver, phi.degree, name)
+                for name, img in phi.rules.items()
+            }
+            return REndomorphism(phi.quiver, phi.degree, rules), b_pot
+
+        monkeypatch.setattr(normalize, "lengthen", corrupted)
+        return calls
+
+    def test_absorb_g_powers(self, fig_tq, checks):
+        q = fig_tq.quiver
+        v_pot = Potential(q, 24, {Path(fig_tq.puncture_cycle("p1").arrows * 2): 1})
+        absorb_g_powers(fig_tq, (1, 1), v_pot)
+        assert len(checks) == 1
+
+    def test_absorb_cycle(self, fig_tq, checks):
+        wd = WData(Fraction(-1), "a1", Path((fig_tq.f_of("a1", 2),)))
+        absorb_cycle(fig_tq, (1, 1), 8, 4, Potential.zero(fig_tq.quiver, 24), wd)
+        assert len(checks) == 1
+
+    def test_g_normal_form(self, fig_tq, checks):
+        q = fig_tq.quiver
+        u_pot = Potential(q, 20, {Path(fig_tq.triangle_cycle(0).arrows * 2): 1})
+        g_normal_form(fig_tq, Potential.zero(q, 20), u_pot)
+        assert len(checks) == 1
+
+    def test_zeta_step(self, torus_tq, checks):
+        t, wd = torus_walk_data(torus_tq)
+        zeta_step(torus_tq, 2, 6, t, Potential.zero(torus_tq.quiver, 24), wd)
+        assert len(checks) == 1
+
+    def test_corrupt_lengthening_fails_absorption(self, fig_tq, corrupt_lengthen):
+        q = fig_tq.quiver
+        v_pot = Potential(q, 24, {Path(fig_tq.puncture_cycle("p1").arrows * 2): 1})
+        with pytest.raises(RuntimeError, match="re-verification"):
+            absorb_g_powers(fig_tq, (1, 1), v_pot)
+        assert corrupt_lengthen
+
+    def test_corrupt_lengthening_fails_normal_form(self, fig_tq, corrupt_lengthen):
+        q = fig_tq.quiver
+        u_pot = Potential(q, 20, {Path(fig_tq.triangle_cycle(0).arrows * 2): 1})
+        with pytest.raises(RuntimeError, match="re-verification"):
+            g_normal_form(fig_tq, Potential.zero(q, 20), u_pot)
+        assert corrupt_lengthen
 
 
 class TestDecomposeGPowers:
