@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import jacobian
 from .endo import REndomorphism
 from .jacobian import g_path_independence_check, quotient_dimension
 from .normalize import absorb_g_powers, g_normal_form
@@ -74,6 +75,17 @@ class RunReport:
 
     @classmethod
     def from_json_dict(cls, data):
+        if not (
+            isinstance(data, dict)
+            and isinstance(data.get("command"), list)
+            and all(isinstance(tok, str) for tok in data["command"])
+            and data.get("outcome") in ("PASS", "FAIL", "ERROR")
+            and isinstance(data.get("witnesses", {}), dict)
+        ):
+            raise ValueError(
+                "not a run report: needs a command list, a PASS/FAIL/ERROR "
+                "outcome and a witnesses object"
+            )
         return cls(
             command=list(data["command"]),
             inputs=data.get("inputs", {}),
@@ -100,6 +112,8 @@ def _load_json(path):
 
 def load_triangulation(spec):
     """Parse a triangulation spec: "torus", "genus2p:G", or a JSON file."""
+    if spec is None:
+        raise ValueError("no triangulation given: pass --triangulation (or --qp FILE)")
     if spec == "torus":
         return once_punctured_torus()
     if spec.startswith("genus2p:"):
@@ -595,6 +609,13 @@ def cmd_jacobian_dim(args):
             "dimension: %d through degree %d (no certificate; raise --degree)"
             % (quot.dimension, degree)
         )
+    if quot.basis is not None:
+        details.append("basis: %d paths" % len(quot.basis))
+    else:
+        details.append(
+            "basis: skipped (%d paths exceed the %s-path cap)"
+            % (quot.basis_window, format(jacobian._BASIS_CAP, ","))
+        )
     outcome = "PASS"
     if args.certify and not certified:
         details.append("FAIL certificate did not engage by degree %d" % degree)
@@ -773,7 +794,12 @@ def _normalized(value):
 
 
 def run_recheck(path):
-    """Re-run a stored report's command and compare the results."""
+    """Re-run a stored report's command and compare the results.
+
+    The fresh witnesses go through a JSON round trip so they compare as
+    the stored ones read back; the stored side came from ``json.load``
+    and is compared as read.
+    """
     stored = RunReport.from_json_dict(_load_json(path))
     fresh = run_command(stored.command)
     lines = ["recheck of %s" % path, "command: %s" % " ".join(stored.command)]
@@ -785,12 +811,13 @@ def run_recheck(path):
         )
     else:
         lines.append("PASS outcome reproduced: %s" % fresh.outcome)
-    if _normalized(fresh.witnesses) != _normalized(stored.witnesses):
+    fresh_witnesses = _normalized(fresh.witnesses)
+    if fresh_witnesses != stored.witnesses:
         ok = False
         diff_keys = sorted(
             key
-            for key in set(fresh.witnesses) | set(stored.witnesses)
-            if _normalized(fresh.witnesses.get(key)) != _normalized(stored.witnesses.get(key))
+            for key in set(fresh_witnesses) | set(stored.witnesses)
+            if fresh_witnesses.get(key) != stored.witnesses.get(key)
         )
         lines.append("FAIL witnesses diverge at: %s" % ", ".join(diff_keys))
     else:

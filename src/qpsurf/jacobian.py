@@ -25,6 +25,10 @@ from fractions import Fraction
 
 from .path_algebra import Path, cyclic_derivative
 
+# The basis paths are listed only when the window below the basis cutoff
+# holds at most this many paths; beyond it ``basis`` is None.
+_BASIS_CAP = 200000
+
 
 class _PathIndex:
     """Graded-lex path numbering and counting for a fixed quiver and bound."""
@@ -133,6 +137,13 @@ class TruncatedQuotient:
     _index: _PathIndex
     _pivots: dict
     _kills: object
+
+    @property
+    def basis_window(self):
+        """Number of paths the basis is read from: lengths below the
+        certificate length, or the whole window when uncertified."""
+        cutoff = self.certificate_length if self.certified else self.degree + 1
+        return self._index.offsets[cutoff]
 
     def _pid(self, p):
         """The index of a Path or a word, once checked to be a path of the window."""
@@ -387,16 +398,6 @@ def quotient_dimension(qp, degree):
         per_degree = tuple(computed)
         dimension = sum(computed)
 
-    basis = None
-    enum_to = cert_len if certified else degree + 1
-    if index.offsets[enum_to] <= 200000:
-        basis = []
-        for l in range(enum_to):
-            for pid in range(index.offsets[l], index.offsets[l + 1]):
-                if pid not in pivots and not kills.killed_pid(pid):
-                    basis.append(index.unrank(pid))
-        basis = tuple(basis)
-
     quotient = TruncatedQuotient(
         qp=qp,
         degree=degree,
@@ -405,11 +406,17 @@ def quotient_dimension(qp, degree):
         certified=certified,
         certificate_length=cert_len,
         max_generator_length=maxgen,
-        basis=basis,
+        basis=None,
         _index=index,
         _pivots=pivots,
         _kills=kills,
     )
+    if quotient.basis_window <= _BASIS_CAP:
+        quotient.basis = tuple(
+            index.unrank(pid)
+            for pid in range(quotient.basis_window)
+            if pid not in pivots and not kills.killed_pid(pid)
+        )
     return quotient, certified
 
 

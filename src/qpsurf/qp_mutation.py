@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .endo import REndomorphism, compose
+from .endo import REndomorphism, compose, compose_all
 from .path_algebra import (
     Arrow,
     Path,
@@ -401,12 +401,14 @@ def _first_difference(got, want):
 def _flip_correction(base, shifted, star, n, x, sign):
     """Σ_j x·(−1)^(sign+j) · base·(shifted·base)^(n−j−1)·(star·base)^j over j < n."""
     total = TruncatedElement.zero(base.quiver, base.degree)
+    shifted_base = shifted * base
+    star_base = star * base
     for j in range(n):
         term = base
         for _ in range(n - j - 1):
-            term = term * (shifted * base)
+            term = term * shifted_base
         for _ in range(j):
-            term = term * (star * base)
+            term = term * star_base
         total = total + term.scale(x * (-1) ** (sign + j))
     return total
 
@@ -414,12 +416,15 @@ def _flip_correction(base, shifted, star, n, x, sign):
 def verify_flip_compatibility(tau, k, x, n, degree, perturb=None):
     """Check that mutation at a flipped arc reproduces the flipped potential.
 
-    Premutates the weighted-cycle potential at k, applies the explicit
-    four-substitution chain, reduces, renames composite and starred arrows
-    to the flipped triangulation's arrows via the forced arc matching, and
-    compares exactly with the flipped potential at the same truncation.
-    ``perturb`` (a Potential on the flipped quiver) is added to the
-    expected side, for negative controls.
+    Premutates the weighted-cycle potential at k, transports it through the
+    explicit four-substitution chain φ1, …, φ4 one factor at a time,
+    reduces, renames composite and starred arrows to the flipped
+    triangulation's arrows via the forced arc matching, and compares
+    exactly with the flipped potential at the same truncation.  The
+    report's ``phi`` is the composite φ4∘φ3∘φ2∘φ1, which carries the
+    premutated potential to what the reduction consumed.  ``perturb`` (a
+    Potential on the flipped quiver) is added to the expected side, for
+    negative controls.
     """
     checks = []
     tq1 = build_quiver(tau)
@@ -465,9 +470,19 @@ def verify_flip_compatibility(tau, k, x, n, degree, perturb=None):
     phi3 = REndomorphism(new_q, d, {a2: a2_el - c2s_b2s})
     corr4 = _flip_correction(b_el * c1s_b1s * a_el, a2_el - c2s_b2s, c2s_b2s, n, xq, n)
     phi4 = REndomorphism(new_q, d, {"[%s%s]" % (b2, c2): e("[%s%s]" % (b2, c2)) - corr4})
-    phi = compose(phi4, compose(phi3, compose(phi2, phi1)))
+    factors = [phi1, phi2, phi3, phi4]
+    phi = compose_all(factors, new_q, d)
 
-    transformed = phi.apply(pre.potential)
+    # Transport the potential through one factor at a time rather than
+    # through the composite: (φ4∘φ3∘φ2∘φ1)(W) = φ4(φ3(φ2(φ1(W)))) exactly
+    # modulo D, because every rule image lies in the arrow ideal (no
+    # length-0 term), so a product of images never gets shorter than the
+    # word it replaces and truncating between factors drops nothing the
+    # composite would keep.  Each intermediate potential stays small, while
+    # the composite's rule images run to thousands of terms.
+    transformed = pre.potential
+    for factor in factors:
+        transformed = factor.apply(transformed)
     red, rwitness = reduce(QP(new_q, transformed))
     # reduce raises unless its witness rechecks; record that verified result.
     checks.append(("reduction witness recheck", True, ""))

@@ -4,12 +4,15 @@ Each test drives ``main`` with an argv list and inspects the printed
 report and exit status: 0 for PASS, 1 for FAIL, 2 for ERROR.
 """
 
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qpsurf import cli
+from qpsurf import cli, jacobian
 from qpsurf.cli import main
 from qpsurf.path_algebra import Path, Potential
 from qpsurf.qp_mutation import QP
@@ -372,6 +375,28 @@ class TestJacobianDim:
         )
         assert code == 2
 
+    def test_basis_size_is_reported(self, capsys):
+        code, out = run(
+            capsys, "jacobian-dim", "--triangulation", "torus",
+            "--x", "1", "--n", "1", "--degree", "12",
+        )
+        assert code == 0
+        assert "basis: 36 paths" in out
+
+    def test_basis_beyond_the_cap_is_reported_as_skipped(self, capsys, monkeypatch):
+        monkeypatch.setattr(jacobian, "_BASIS_CAP", 10)
+        report = cli.run_command(
+            ["jacobian-dim", "--triangulation", "torus", "--x", "1", "--n", "1",
+             "--degree", "12"]
+        )
+        assert report.outcome == "PASS"
+        assert "dimension: 36 (exact; every path of length 5 reduces to shorter)" in report.details
+        # 3 + 6 + 12 + 24 + 48 torus paths lie below the certificate length 5.
+        assert [l for l in report.details if l.startswith("basis:")] == [
+            "basis: skipped (93 paths exceed the 10-path cap)"
+        ]
+        assert "basis" not in report.witnesses
+
 
 class TestUsageErrors:
     """A command line argparse rejects ends in an ERROR report, not SystemExit."""
@@ -412,6 +437,59 @@ class TestUsageErrors:
         assert "--triangulation" in capsys.readouterr().out
 
 
+_SUBCOMMANDS = sorted(cli._HANDLERS)
+_OPTION_VALUES = {
+    "--triangulation": ["torus", "genus2p:1", "genus2p:0", "nope"],
+    "--x": ["1", "-1/3", "3/2", "1/0", "0", "x", "1,2"],
+    "--n": ["-1", "0", "1", "2", "two"],
+    "--degree": ["-1", "0", "3", "6", "12", "d"],
+    "--arc": ["0", "1", "3", "7", "a"],
+    "--vertex": ["1", "9", "v"],
+    "--perturb": ["1/7", "1/0", "z"],
+    "--powers": ["p0:2=1", "p1:3=3", "p0:1", "p0:2=1/0", "q", ""],
+    "--random": ["-1", "0", "1", "2"],
+    "--seed": ["0", "5", "s"],
+    "--max-length": ["0", "4", "8"],
+    "--cycle": ["a1,b1,c1", "a1", ","],
+    "--table": ["0", "1", "2"],
+    "--qp": ["missing.json"],
+    "--potential": ["missing.json"],
+    "--recheck": ["missing.json"],
+}
+_JUNK = ["", "-", "--", "--bogus", "--certify", "torus", "genus2p", "1", "2",
+         "load", "missing.json", "1/0", "\u00e9"]
+# Subcommands whose default degree is too large for a quick draw.
+_DEGREE_DEFAULTED = {"absorb", "normalize", "verify-flip"}
+
+_option_pair = st.sampled_from(sorted(_OPTION_VALUES)).flatmap(
+    lambda opt: st.sampled_from(_OPTION_VALUES[opt]).map(lambda v: [opt, v])
+)
+_token_runs = st.lists(
+    st.one_of(_option_pair, st.sampled_from(_JUNK).map(lambda t: [t])), max_size=6
+)
+
+
+@st.composite
+def _argvs(draw):
+    argv = list(draw(st.sampled_from([[]] + [[s] for s in _SUBCOMMANDS])))
+    for run_ in draw(_token_runs):
+        argv.extend(run_)
+    if argv and argv[0] in _DEGREE_DEFAULTED and "--degree" not in argv:
+        argv += ["--degree", draw(st.sampled_from(["3", "6", "12"]))]
+    return argv
+
+
+class TestArgvFuzz:
+    """Any command line over a small vocabulary ends in an exit code."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_argvs())
+    def test_every_command_line_ends_in_a_verdict(self, argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2)
+
+
 class TestReports:
     def test_report_then_recheck(self, capsys, tmp_path):
         rpt = tmp_path / "vf.json"
@@ -442,6 +520,19 @@ class TestReports:
     def test_recheck_missing_file(self, capsys, tmp_path):
         code, out = run(capsys, "--recheck", str(tmp_path / "gone.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("stored", [
+        [1],
+        {"command": 5, "outcome": "PASS"},
+        {"command": ["build", "torus"], "outcome": "MAYBE"},
+        {"command": ["build", "torus"], "outcome": "PASS", "witnesses": None},
+    ])
+    def test_recheck_of_a_malformed_report_is_an_error(self, capsys, tmp_path, stored):
+        rpt = tmp_path / "bad.json"
+        rpt.write_text(json.dumps(stored))
+        code, out = run(capsys, "--recheck", str(rpt))
+        assert code == 2
+        assert "ERROR: not a run report" in out
 
 
 class TestSeededPotentials:

@@ -216,6 +216,29 @@ class TestComposition:
             folded = compose(phi, folded)
         assert compose_all(factors, q, 7) == folded
 
+    @pytest.mark.parametrize("surface", ["fig_tq", "torus_tq"])
+    def test_compose_agrees_with_sequential_apply_on_potentials(self, surface, request):
+        # The flip check transports its potential factor by factor and
+        # reports the composite; this is the identity that makes them agree.
+        q = request.getfixturevalue(surface).quiver
+        rng = random.Random(509)
+        for _ in range(25):
+            f = oracles.random_unitriangular(q, 9, rng)
+            g = oracles.random_unitriangular(q, 9, rng)
+            w = oracles.random_potential(q, 9, rng, nterms=4)
+            assert compose(f, g).apply(w) == f.apply(g.apply(w))
+
+    @pytest.mark.parametrize("surface", ["fig_tq", "torus_tq"])
+    def test_compose_all_of_four_equals_nested_compose(self, surface, request):
+        q = request.getfixturevalue(surface).quiver
+        rng = random.Random(510)
+        for _ in range(5):
+            f1, f2, f3, f4 = (oracles.random_unitriangular(q, 8, rng) for _ in range(4))
+            nested = compose(f4, compose(f3, compose(f2, f1)))
+            assert compose_all([f1, f2, f3, f4], q, 8) == nested
+            w = oracles.random_potential(q, 8, rng, nterms=4)
+            assert nested.apply(w) == f4.apply(f3.apply(f2.apply(f1.apply(w))))
+
     def test_compose_all_empty(self, torus_tq):
         q = torus_tq.quiver
         assert compose_all([], q, 9).is_identity

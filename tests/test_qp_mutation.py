@@ -222,3 +222,20 @@ class TestFlipCompatibility:
         assert not report.ok
         assert report.first_difference is not None
         assert any(not ok for _, ok, _ in report.checks)
+
+
+class TestFlipWitness:
+    """The report's composite ``phi`` still carries the premutated potential
+    to what the reduction consumed, although the check itself transports
+    the potential one factor at a time."""
+
+    @pytest.mark.parametrize("x", [Fraction(1), Fraction(-1, 3)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_composite_witness_rechecks(self, n, x):
+        tau = once_punctured_torus()
+        for arc in (1, 2, 3):
+            report = verify_flip_compatibility(tau, arc, x, n, 12 * n + 6)
+            assert report.ok
+            pre = report.premutated
+            carried = QP(pre.quiver, report.phi.apply(pre.potential))
+            assert report.reduction.recheck(carried)
