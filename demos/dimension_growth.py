@@ -11,7 +11,7 @@ Run with:  python3 demos/dimension_growth.py
 
 from qpsurf.jacobian import quotient_dimension
 from qpsurf.qp_mutation import QP
-from qpsurf.surface import build_quiver, once_punctured_torus, potential_Sxn
+from qpsurf.surface import build_quiver, once_punctured_torus, potential_S
 
 tq = build_quiver(once_punctured_torus())
 m = tq.punctures[0].valency
@@ -20,7 +20,7 @@ print()
 print("n   D    dim   n*m-2   certified through length")
 for n in (1, 2, 3):
     degree = 6 * n + 6
-    qp = QP(tq.quiver, potential_Sxn(tq, 1, n, degree))
+    qp = QP(tq.quiver, potential_S(tq, 1, degree, n=n))
     quo, certified = quotient_dimension(qp, degree)
     print(
         "%-3d %-4d %-5d %-7d %s"
@@ -29,7 +29,7 @@ for n in (1, 2, 3):
     )
 print()
 print("per-degree slice sizes at n = 1:")
-qp = QP(tq.quiver, potential_Sxn(tq, 1, 1, 12))
+qp = QP(tq.quiver, potential_S(tq, 1, 12))
 quo, _ = quotient_dimension(qp, 12)
 for length, count in enumerate(quo.per_degree):
     if count:

@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import jacobian
 from .endo import REndomorphism
 from .jacobian import g_path_independence_check, quotient_dimension
 from .normalize import absorb_g_powers, g_normal_form
@@ -42,7 +41,6 @@ from .surface import (
     flip,
     once_punctured_torus,
     potential_S,
-    potential_Sxn,
     potential_T,
     twice_punctured_genus,
 )
@@ -110,15 +108,20 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _is_builtin(spec):
+    """Whether a triangulation spec names a built-in surface rather than a file."""
+    return spec == "torus" or spec.startswith("genus2p:")
+
+
 def load_triangulation(spec):
     """Parse a triangulation spec: "torus", "genus2p:G", or a JSON file."""
     if spec is None:
         raise ValueError("no triangulation given: pass --triangulation (or --qp FILE)")
+    if not _is_builtin(spec):
+        return Triangulation.from_json_dict(_load_json(spec))
     if spec == "torus":
         return once_punctured_torus()
-    if spec.startswith("genus2p:"):
-        return twice_punctured_genus(int(spec.split(":", 1)[1]))
-    return Triangulation.from_json_dict(_load_json(spec))
+    return twice_punctured_genus(int(spec.split(":", 1)[1]))
 
 
 def _fraction(token, option):
@@ -158,24 +161,22 @@ def _rebase_potential(quiver, degree, data):
     return Potential(quiver, degree, pot.terms)
 
 
-def random_cycle_potential(tq, degree, rng, min_length=4, max_length=6, max_terms=3):
+def random_cycle_potential(tq, degree, rng):
     """A seeded random potential on short cycles, avoiding triangle lengths.
 
-    Picks one to ``max_terms`` distinct cycle classes of length between
-    ``min_length`` and ``max_length``, and at most ``degree``, with small
-    nonzero rational coefficients.  With the defaults every term is longer
-    than a triangle cycle, so the result shares no rotation class with the
-    triangle part of a surface potential.
+    Picks one to three distinct cycle classes of length 4 to 6, and at most
+    ``degree``, with small nonzero rational coefficients.  Every term is
+    longer than a triangle cycle, so the result shares no rotation class
+    with the triangle part of a surface potential.
     """
     classes = [
-        p for p in enumerate_cycle_classes(tq.quiver, min(max_length, degree))
-        if len(p) >= min_length
+        p for p in enumerate_cycle_classes(tq.quiver, min(6, degree)) if len(p) >= 4
     ]
     if not classes:
         raise ValueError("no cycles in the requested length window")
     pool = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
             Fraction(-1, 3), Fraction(3)]
-    chosen = rng.sample(classes, rng.randint(1, min(max_terms, len(classes))))
+    chosen = rng.sample(classes, rng.randint(1, min(3, len(classes))))
     terms = {p: rng.choice(pool) for p in chosen}
     return Potential(tq.quiver, degree, terms)
 
@@ -292,10 +293,7 @@ def cmd_potential(args):
     tau = load_triangulation(args.triangulation)
     tq = build_quiver(tau)
     x = parse_x(args.x)
-    if args.n is not None:
-        pot = potential_Sxn(tq, x, args.n, degree=args.degree)
-    else:
-        pot = potential_S(tq, x, degree=args.degree)
+    pot = potential_S(tq, x, args.degree, n=args.n)
     details = ["degree: %d" % pot.degree, "terms: %d" % len(pot.terms)]
     for p in sorted(pot.terms, key=lambda p: (len(p), p.arrows)):
         details.append("  %s * %s" % (pot.terms[p], ".".join(p.arrows)))
@@ -337,17 +335,11 @@ def cmd_verify_flip(args):
     k = _parse_arc(args.arc)
     x = _fraction(args.x, "--x")
     n = args.n
-    degree = args.degree if args.degree is not None else 12 * n + 6
-    perturb = None
-    if args.perturb is not None:
-        sigma = flip(tau, k)
-        tq2 = build_quiver(sigma)
-        eps = _fraction(args.perturb, "--perturb")
-        perturb = Potential(tq2.quiver, degree, {tq2.triangle_cycle(0): eps})
+    perturb = None if args.perturb is None else _fraction(args.perturb, "--perturb")
     t0 = time.perf_counter()
-    report = verify_flip_compatibility(tau, k, x, n, degree, perturb=perturb)
+    report = verify_flip_compatibility(tau, k, x, n, args.degree, perturb=perturb)
     timings = {"verify": time.perf_counter() - t0}
-    details = ["arc=%r x=%s n=%d D=%d" % (k, x, n, degree)]
+    details = ["arc=%r x=%s n=%d D=%d" % (k, x, n, report.degree)]
     details.extend(report.summary_lines())
     if report.first_difference is not None:
         details.append("first difference: %s" % report.first_difference)
@@ -356,7 +348,7 @@ def cmd_verify_flip(args):
         "arc": k,
         "x": str(x),
         "n": n,
-        "degree": degree,
+        "degree": report.degree,
         "checks": [[name, ok, detail] for name, ok, detail in report.checks],
         "renaming": dict(report.renaming),
         "phi": report.phi.to_json_dict(),
@@ -546,8 +538,8 @@ def cmd_jacobian_dim(args):
         prev = None
         details.append("n   D    dim   certified   lower bound")
         for n in range(1, args.table + 1):
-            degree = args.degree if args.degree is not None else 6 * n + 6
-            pot = potential_Sxn(tq, x, n, degree=degree)
+            degree = args.degree if args.degree is not None else n * m + 6
+            pot = potential_S(tq, x, degree, n=n)
             t0 = time.perf_counter()
             quot, certified = quotient_dimension(QP(tq.quiver, pot), degree)
             timings["n=%d" % n] = time.perf_counter() - t0
@@ -587,11 +579,8 @@ def cmd_jacobian_dim(args):
         degree = args.degree
         if degree is None:
             raise ValueError("--degree is required in triangulation mode")
-        if args.n is not None:
-            pot = potential_Sxn(tq, x, args.n, degree=degree)
-        else:
-            pot = potential_S(tq, x, degree=degree)
-        qp = QP(tq.quiver, pot)
+        n = 1 if args.n is None else args.n
+        qp = QP(tq.quiver, potential_S(tq, x, degree, n=n))
         inputs_w = {"triangulation": tau.to_json_dict(), "x": _x_inputs(x), "n": args.n}
 
     t0 = time.perf_counter()
@@ -608,13 +597,6 @@ def cmd_jacobian_dim(args):
         details.append(
             "dimension: %d through degree %d (no certificate; raise --degree)"
             % (quot.dimension, degree)
-        )
-    if quot.basis is not None:
-        details.append("basis: %d paths" % len(quot.basis))
-    else:
-        details.append(
-            "basis: skipped (%d paths exceed the %s-path cap)"
-            % (quot.basis_window, format(jacobian._BASIS_CAP, ","))
         )
     outcome = "PASS"
     if args.certify and not certified:
@@ -682,7 +664,7 @@ def build_parser():
     sp = sub.add_parser("potential", help="print the weighted-cycle potential")
     sp.add_argument("--triangulation", required=True)
     sp.add_argument("--x", required=True)
-    sp.add_argument("--n", type=int)
+    sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--degree", type=int)
 
     sp = sub.add_parser("mutate", help="mutate a QP at a vertex and reduce")
@@ -747,17 +729,21 @@ _HANDLERS = {
 }
 
 
-def _input_digest(argv):
+def _input_digest(argv, args):
+    """The argv plus a sha256 of every input file the parsed options name."""
     inputs = {"argv": list(argv)}
+    spec = getattr(args, "triangulation", None)
+    if args.subcommand == "build" and len(args.what) == 2 and args.what[0] == "load":
+        spec = args.what[1]
+    paths = [getattr(args, "qp", None), getattr(args, "potential", None)]
+    if spec is not None and not _is_builtin(spec):
+        paths.append(spec)
     files = {}
-    for tok, arg in zip(argv, argv[1:]):
-        if tok in ("--qp", "--potential", "load") or (
-            tok == "--triangulation" and arg != "torus" and not arg.startswith("genus2p:")
-        ):
-            try:
-                files[arg] = _digest_file(arg)
-            except OSError:
-                pass
+    for path in filter(None, paths):
+        try:
+            files[path] = _digest_file(path)
+        except OSError:
+            pass
     if files:
         inputs["files"] = files
     return inputs
@@ -773,12 +759,13 @@ def run_command(argv):
     Never raises, except that ``--help`` prints help and exits as argparse
     does; a command line argparse rejects is an ERROR carrying its message.
     """
-    inputs = _input_digest(argv)
+    inputs = {"argv": list(argv)}
     start = time.perf_counter()
     try:
         args = build_parser().parse_args(argv)
         if args.subcommand is None:
             return RunReport(list(argv), {}, "ERROR", ["no subcommand given"])
+        inputs = _input_digest(argv, args)
         outcome, details, witnesses, timings = _HANDLERS[args.subcommand](args)
     except _ERRORS as exc:
         return RunReport(

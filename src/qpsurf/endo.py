@@ -243,9 +243,6 @@ class REndomorphism:
             and self.rules == other.rules
         )
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     __hash__ = None
 
     def __repr__(self):
@@ -352,15 +349,15 @@ def compose_all(factors, quiver, degree):
     return layer[0]
 
 
-def limit_compose(factors, quiver, degree, stall_factor=10):
+def limit_compose(factors, quiver, degree):
     """Compose a stream of substitutions until the tail stops mattering.
 
     Consumes ``factors`` (latest factor applied last, i.e. the composite is
     ...∘φ2∘φ1) and stops once a factor has depth ≥ degree — beyond that
     every further factor is the identity modulo the truncation — or the
-    stream ends.  Aborts loudly if ``stall_factor * degree`` consecutive
-    factors fail to push the depth watermark up, which would mean the
-    stream is not converging.
+    stream ends.  Aborts loudly if 10·degree consecutive factors fail to
+    push the depth watermark up, which would mean the stream is not
+    converging.
     """
     collected = []
     watermark = -1
@@ -375,7 +372,7 @@ def limit_compose(factors, quiver, degree, stall_factor=10):
             stalled = 0
         else:
             stalled += 1
-            if stalled >= stall_factor * degree:
+            if stalled >= 10 * degree:
                 raise RuntimeError(
                     "limit composition stalled: %d factors without depth progress "
                     "(watermark %s)" % (stalled, watermark)

@@ -22,12 +22,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .path_algebra import Path, cyclic_derivative
-
-# The basis paths are listed only when the window below the basis cutoff
-# holds at most this many paths; beyond it ``basis`` is None.
-_BASIS_CAP = 200000
 
 
 class _PathIndex:
@@ -133,17 +130,20 @@ class TruncatedQuotient:
     certified: bool
     certificate_length: object
     max_generator_length: int
-    basis: object
     _index: _PathIndex
     _pivots: dict
     _kills: object
 
-    @property
-    def basis_window(self):
-        """Number of paths the basis is read from: lengths below the
-        certificate length, or the whole window when uncertified."""
+    @cached_property
+    def basis(self):
+        """The paths that are neither pivot leads nor killed, below the
+        certificate length, or in the whole window when uncertified."""
         cutoff = self.certificate_length if self.certified else self.degree + 1
-        return self._index.offsets[cutoff]
+        return tuple(
+            self._index.unrank(pid)
+            for pid in range(self._index.offsets[cutoff])
+            if pid not in self._pivots and not self._kills.killed_pid(pid)
+        )
 
     def _pid(self, p):
         """The index of a Path or a word, once checked to be a path of the window."""
@@ -261,7 +261,7 @@ def _avoid_counts(quiver, words, upto):
     return counts
 
 
-def _reduce_against(pivots, row, kills=None):
+def _reduce_against(pivots, row, kills):
     row = dict(row)
     while row:
         lead = max(row)
@@ -275,14 +275,14 @@ def _reduce_against(pivots, row, kills=None):
                     row[i] = nxt
                 else:
                     row.pop(i, None)
-        elif kills is not None and kills.killed_pid(lead):
+        elif kills.killed_pid(lead):
             del row[lead]
         else:
             break
     return row
 
 
-def _install(pivots, row, kills=None):
+def _install(pivots, row, kills):
     """Reduce a row and, if nonzero, install it as a new pivot.  Returns lead or None."""
     row = _reduce_against(pivots, row, kills)
     if not row:
@@ -406,17 +406,10 @@ def quotient_dimension(qp, degree):
         certified=certified,
         certificate_length=cert_len,
         max_generator_length=maxgen,
-        basis=None,
         _index=index,
         _pivots=pivots,
         _kills=kills,
     )
-    if quotient.basis_window <= _BASIS_CAP:
-        quotient.basis = tuple(
-            index.unrank(pid)
-            for pid in range(quotient.basis_window)
-            if pid not in pivots and not kills.killed_pid(pid)
-        )
     return quotient, certified
 
 

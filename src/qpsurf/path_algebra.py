@@ -158,9 +158,6 @@ class Quiver:
             and self.arrows == other.arrows
         )
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     __hash__ = None
 
     def __repr__(self):
@@ -358,9 +355,6 @@ class _Graded:
             and self.terms == other.terms
         )
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     __hash__ = None
 
     def __repr__(self):
@@ -411,9 +405,6 @@ class TruncatedElement(_Graded):
     @classmethod
     def from_arrow(cls, quiver, degree, name, coeff=1):
         return cls.from_path(quiver, degree, quiver.path([name]), coeff)
-
-    def support_lengths(self):
-        return sorted({len(p.arrows) for p in self.terms})
 
     def __mul__(self, other):
         """Product in the truncated path algebra (right factor acts first)."""

@@ -29,7 +29,7 @@ from .path_algebra import (
     cyclic_derivative,
     is_cyclically_equivalent,
 )
-from .surface import build_quiver, flip, potential_Sxn
+from .surface import build_quiver, flip, potential_S
 
 
 @dataclass(frozen=True)
@@ -371,7 +371,6 @@ class FlipReport:
     phi: REndomorphism
     premutated: QP
     reduction: ReductionWitness
-    reduced: QP
     transported: Potential
     expected: Potential
 
@@ -413,7 +412,7 @@ def _flip_correction(base, shifted, star, n, x, sign):
     return total
 
 
-def verify_flip_compatibility(tau, k, x, n, degree, perturb=None):
+def verify_flip_compatibility(tau, k, x, n, degree=None, perturb=None):
     """Check that mutation at a flipped arc reproduces the flipped potential.
 
     Premutates the weighted-cycle potential at k, transports it through the
@@ -421,19 +420,26 @@ def verify_flip_compatibility(tau, k, x, n, degree, perturb=None):
     reduces, renames composite and starred arrows to the flipped
     triangulation's arrows via the forced arc matching, and compares
     exactly with the flipped potential at the same truncation.  The
-    report's ``phi`` is the composite φ4∘φ3∘φ2∘φ1, which carries the
-    premutated potential to what the reduction consumed.  ``perturb`` (a
-    Potential on the flipped quiver) is added to the expected side, for
+    potential is S(τ, x, n) on a once-punctured surface; ``degree=None``
+    takes its default degree, which the report records.  The report's
+    ``phi`` is the composite φ4∘φ3∘φ2∘φ1, which carries the premutated
+    potential to what the reduction consumed.  ``perturb``, a coefficient,
+    is added to the flipped triangle 0's cycle on the expected side, for
     negative controls.
     """
     checks = []
     tq1 = build_quiver(tau)
-    s1 = potential_Sxn(tq1, x, n, degree)
+    if len(tq1.punctures) != 1:
+        raise ValueError(
+            "the flip check needs exactly one puncture; quiver has %d" % len(tq1.punctures)
+        )
+    s1 = potential_S(tq1, x, degree, n=n)
+    d = s1.degree
     sigma = flip(tau, k)
     tq2 = build_quiver(sigma)
-    s2 = potential_Sxn(tq2, x, n, degree)
+    s2 = potential_S(tq2, x, d, n=n)
     if perturb is not None:
-        s2 = s2 + perturb
+        s2 = s2 + Potential(tq2.quiver, d, {tq2.triangle_cycle(0): perturb})
 
     pre = premutate(QP(tq1.quiver, s1), k)
     new_q = pre.quiver
@@ -452,7 +458,6 @@ def verify_flip_compatibility(tau, k, x, n, degree, perturb=None):
     seg_a, seg_b = rot[1:j], rot[j + 1:]
 
     old_q = tq1.quiver
-    d = degree
     a_el = _segment_element(old_q, new_q, k, seg_a, old_q.tail(a1), d)
     b_el = _segment_element(old_q, new_q, k, seg_b, old_q.tail(a2), d)
 
@@ -556,14 +561,13 @@ def verify_flip_compatibility(tau, k, x, n, degree, perturb=None):
         arc=k,
         x=xq,
         n=n,
-        degree=degree,
+        degree=d,
         checks=tuple(checks),
         first_difference=first_diff,
         renaming=renaming,
         phi=phi,
         premutated=pre,
         reduction=rwitness,
-        reduced=red,
         transported=transported,
         expected=s2,
     )

@@ -129,9 +129,6 @@ class Triangulation:
         """Equality as labelled triangulations: same arcs, same triangles up to rotation."""
         return isinstance(other, Triangulation) and self._normal_key() == other._normal_key()
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     __hash__ = None
 
     def __repr__(self):
@@ -146,6 +143,12 @@ class Triangulation:
 
     @classmethod
     def from_json_dict(cls, data):
+        keys = data.keys() if isinstance(data, dict) else ()
+        missing = [k for k in ("arcs", "triangles") if k not in keys]
+        if missing:
+            raise ValueError(
+                "not a triangulation: missing %s" % ", ".join(repr(k) for k in missing)
+            )
         return cls(data["arcs"], data["triangles"])
 
 
@@ -286,20 +289,18 @@ class TriangulationQuiver:
 
     def g_path(self, r, beta):
         """G(r, β) = g^{r-1}(β) ··· g(β) β; the lazy path at tail(β) for r = 0."""
-        if r < 0:
-            raise ValueError("negative path length")
-        if r == 0:
-            return self.quiver.lazy_path(self.quiver.tail(beta))
-        word = [self.g_of(beta, r - 1 - i) for i in range(r)]
-        return Path(tuple(word))
+        return self._orbit_path(self.g_of, r, beta)
 
     def f_path(self, r, beta):
+        """F(r, β) = f^{r-1}(β) ··· f(β) β; the lazy path at tail(β) for r = 0."""
+        return self._orbit_path(self.f_of, r, beta)
+
+    def _orbit_path(self, step, r, beta):
         if r < 0:
             raise ValueError("negative path length")
         if r == 0:
             return self.quiver.lazy_path(self.quiver.tail(beta))
-        word = [self.f_of(beta, r - 1 - i) for i in range(r)]
-        return Path(tuple(word))
+        return Path(tuple(step(beta, r - 1 - i) for i in range(r)))
 
     def puncture_cycle(self, key):
         """𝒢: the full g-cycle around a puncture (by pid or by member arrow)."""
@@ -318,16 +319,14 @@ class TriangulationQuiver:
         return "TriangulationQuiver(%r)" % (self.quiver,)
 
 
-def build_quiver(tau, arrow_names=None):
+def build_quiver(tau):
     """The quiver of a triangulation: one arrow per corner, f by triangle rotation.
 
     Triangle i with sides (u, v, w) contributes arrows u→v, v→w, w→u which
-    are named a{i+1}, b{i+1}, c{i+1} unless overridden via ``arrow_names``
-    (a map (triangle index, position) -> name).  A builder may attach its
-    preferred names to the triangulation itself.
+    are named a{i+1}, b{i+1}, c{i+1} unless the triangulation carries its
+    builder's names (a map (triangle index, position) -> name).
     """
-    if arrow_names is None:
-        arrow_names = tau.arrow_names
+    arrow_names = tau.arrow_names
     arrows = []
     f = {}
     tri_index = {}
@@ -454,35 +453,21 @@ def _coerce_x(tq, x):
     return vals
 
 
-def potential_S(tq, x, degree=None):
-    """T plus one weighted puncture cycle per puncture."""
+def potential_S(tq, x, degree=None, n=1):
+    """S(τ, x, n) = T + Σ_p x_p·𝒢_pⁿ: the triangle 3-cycles plus a weighted
+    n-th power of each puncture cycle.
+
+    ``x`` is a scalar, a sequence in puncture order, or a dict by pid.  The
+    default degree is ``default_degree`` of the longest term, n times the
+    largest valency.
+    """
     xs = _coerce_x(tq, x)
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("the cycle power must be a positive integer, got %r" % (n,))
     if degree is None:
-        degree = default_degree(max(3, max(p.valency for p in tq.punctures)))
-    pot = potential_T(tq, degree)
-    for p in tq.punctures:
-        pot = pot + Potential(tq.quiver, degree, {tq.puncture_cycle(p.pid): xs[p.pid]})
-    return pot
-
-
-def potential_Sxn(tq, x, n, degree=None):
-    """T plus x·(puncture cycle)^n on a once-punctured surface."""
-    if len(tq.punctures) != 1:
-        raise ValueError(
-            "this potential needs exactly one puncture; quiver has %d" % len(tq.punctures)
-        )
-    n = int(n)
-    if n < 1:
-        raise ValueError("the cycle power must be a positive integer")
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("the cycle coefficient must be nonzero")
-    p = tq.punctures[0]
-    if degree is None:
-        degree = default_degree(max(3, n * p.valency))
-    word = tq.puncture_cycle(p.pid).arrows
-    cycle = Path(word * n)
-    return potential_T(tq, degree) + Potential(tq.quiver, degree, {cycle: x})
+        degree = default_degree(max(3, n * max(p.valency for p in tq.punctures)))
+    cycles = {Path(tq.puncture_cycle(p.pid).arrows * n): xs[p.pid] for p in tq.punctures}
+    return potential_T(tq, degree) + Potential(tq.quiver, degree, cycles)
 
 
 # ----------------------------------------------------------------------

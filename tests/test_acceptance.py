@@ -35,7 +35,6 @@ from qpsurf.surface import (
     flip,
     once_punctured_torus,
     potential_S,
-    potential_Sxn,
     potential_T,
     twice_punctured_genus,
 )
@@ -82,7 +81,7 @@ def test_criterion_2_certified_quotient_dimensions():
     got = {}
     ok = True
     for n, degree in ((1, 12), (2, 18)):
-        qp = QP(tq.quiver, potential_Sxn(tq, 1, n, degree))
+        qp = QP(tq.quiver, potential_S(tq, 1, degree, n=n))
         quo, certified = quotient_dimension(qp, degree)
         entry = GOLDEN["n=%d" % n]
         got[n] = quo.dimension
@@ -236,7 +235,7 @@ def test_criterion_6_structural_involutions():
         (build_quiver(twice_punctured_genus(1)), None),
     ):
         if len(tq.punctures) == 1:
-            qp = QP(tq.quiver, potential_Sxn(tq, 1, 1, 12))
+            qp = QP(tq.quiver, potential_S(tq, 1, 12))
         else:
             qp = QP(tq.quiver, potential_S(tq, (1, 1), 12))
         for k in tq.quiver.vertices:

@@ -5,6 +5,7 @@ report and exit status: 0 for PASS, 1 for FAIL, 2 for ERROR.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -12,11 +13,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpsurf import cli, jacobian
+from qpsurf import cli
 from qpsurf.cli import main
 from qpsurf.path_algebra import Path, Potential
 from qpsurf.qp_mutation import QP
-from qpsurf.surface import once_punctured_torus, potential_Sxn
+from qpsurf.surface import once_punctured_torus, potential_S
 
 
 def run(capsys, *argv):
@@ -55,6 +56,17 @@ class TestBuild:
         code, out = run(capsys, "build", "load", str(f))
         assert code == 0
         assert "arcs: 3" in out
+
+    def test_a_build_report_is_not_a_triangulation(self, capsys, tmp_path):
+        rpt = tmp_path / "build.json"
+        run(capsys, "--report", str(rpt), "build", "torus")
+        code, out = run(capsys, "quiver", "--triangulation", str(rpt))
+        assert code == 2
+        assert "ERROR: not a triangulation: missing 'arcs', 'triangles'\n" in out
+        tri = tmp_path / "tri.json"
+        tri.write_text(json.dumps(json.loads(rpt.read_text())["witnesses"]["triangulation"]))
+        code, out = run(capsys, "quiver", "--triangulation", str(tri))
+        assert code == 0
 
     def test_load_missing_file(self, capsys, tmp_path):
         code, out = run(capsys, "build", "load", str(tmp_path / "nope.json"))
@@ -99,6 +111,16 @@ class TestQuiverAndPotential:
         assert "terms: 3" in out
         assert "-1/3 * " in out
 
+    @pytest.mark.parametrize("argv", [
+        ["potential", "--triangulation", "torus", "--x", "1,2", "--n", "2"],
+        ["jacobian-dim", "--triangulation", "torus", "--x", "1,2", "--n", "1", "--degree", "12"],
+        ["jacobian-dim", "--table", "2", "--x", "1,2"],
+    ], ids=["potential", "jacobian-dim", "table"])
+    def test_one_coefficient_per_puncture(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert "ERROR: expected 1 puncture coefficients, got 2\n" in out
+
     def test_zero_coefficient_rejected(self, capsys):
         code, out = run(capsys, "potential", "--triangulation", "torus", "--x", "0")
         assert code == 2
@@ -126,7 +148,7 @@ class TestQuiverAndPotential:
 class TestMutate:
     @pytest.fixture()
     def qp_file(self, torus_tq, tmp_path):
-        qp = QP(torus_tq.quiver, potential_Sxn(torus_tq, 1, 1, 12))
+        qp = QP(torus_tq.quiver, potential_S(torus_tq, 1, 12))
         f = tmp_path / "qp.json"
         f.write_text(json.dumps(qp.to_json_dict()))
         return str(f)
@@ -150,7 +172,7 @@ class TestMutate:
 
     def test_term_beyond_its_own_degree(self, capsys, torus_tq, tmp_path):
         # The puncture cycle has length 6; a stored D of 5 must not drop it.
-        data = QP(torus_tq.quiver, potential_Sxn(torus_tq, 1, 1, 12)).to_json_dict()
+        data = QP(torus_tq.quiver, potential_S(torus_tq, 1, 12)).to_json_dict()
         data["potential"]["D"] = 5
         f = tmp_path / "qp.json"
         f.write_text(json.dumps(data))
@@ -343,7 +365,7 @@ class TestJacobianDim:
         assert "PASS g-paths below cutoff are linearly independent" in out
 
     def test_qp_file_mode(self, capsys, tmp_path, torus_tq):
-        qp = QP(torus_tq.quiver, potential_Sxn(torus_tq, 1, 1, 12))
+        qp = QP(torus_tq.quiver, potential_S(torus_tq, 1, 12))
         f = tmp_path / "qp.json"
         f.write_text(json.dumps(qp.to_json_dict()))
         code, out = run(capsys, "jacobian-dim", "--qp", str(f))
@@ -374,28 +396,6 @@ class TestJacobianDim:
             capsys, "jacobian-dim", "--table", "2", "--triangulation", "genus2p:1"
         )
         assert code == 2
-
-    def test_basis_size_is_reported(self, capsys):
-        code, out = run(
-            capsys, "jacobian-dim", "--triangulation", "torus",
-            "--x", "1", "--n", "1", "--degree", "12",
-        )
-        assert code == 0
-        assert "basis: 36 paths" in out
-
-    def test_basis_beyond_the_cap_is_reported_as_skipped(self, capsys, monkeypatch):
-        monkeypatch.setattr(jacobian, "_BASIS_CAP", 10)
-        report = cli.run_command(
-            ["jacobian-dim", "--triangulation", "torus", "--x", "1", "--n", "1",
-             "--degree", "12"]
-        )
-        assert report.outcome == "PASS"
-        assert "dimension: 36 (exact; every path of length 5 reduces to shorter)" in report.details
-        # 3 + 6 + 12 + 24 + 48 torus paths lie below the certificate length 5.
-        assert [l for l in report.details if l.startswith("basis:")] == [
-            "basis: skipped (93 paths exceed the 10-path cap)"
-        ]
-        assert "basis" not in report.witnesses
 
 
 class TestUsageErrors:
@@ -533,6 +533,39 @@ class TestReports:
         code, out = run(capsys, "--recheck", str(rpt))
         assert code == 2
         assert "ERROR: not a run report" in out
+
+
+def _spelled(joined, option, value):
+    return [option + "=" + value] if joined else [option, value]
+
+
+class TestInputDigests:
+    @pytest.mark.parametrize("joined", [False, True], ids=["separate", "joined"])
+    def test_every_named_file_is_digested(self, tmp_path, torus_tq, fig_tq, joined):
+        tri = tmp_path / "tri.json"
+        tri.write_text(json.dumps(once_punctured_torus().to_json_dict()))
+        qp = tmp_path / "qp.json"
+        qp.write_text(json.dumps(QP(torus_tq.quiver, potential_S(torus_tq, 1, 12)).to_json_dict()))
+        u = tmp_path / "u.json"
+        u.write_text(json.dumps(
+            cli.random_cycle_potential(fig_tq, 12, random.Random(0)).to_json_dict()
+        ))
+        runs = [
+            (["quiver"] + _spelled(joined, "--triangulation", str(tri)), tri),
+            (["mutate", "--vertex", "1"] + _spelled(joined, "--qp", str(qp)), qp),
+            (["normalize", "--triangulation", "genus2p:1", "--degree", "12"]
+             + _spelled(joined, "--potential", str(u)), u),
+            (["build", "load", str(tri)], tri),
+        ]
+        for argv, path in runs:
+            report = cli.run_command(argv)
+            assert report.outcome == "PASS", report.details
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert report.inputs["files"] == {str(path): digest}
+
+    def test_built_in_specs_are_not_files(self):
+        for argv in (["quiver", "--triangulation=torus"], ["build", "load", "genus2p:1"]):
+            assert cli.run_command(argv).inputs == {"argv": argv}
 
 
 class TestSeededPotentials:

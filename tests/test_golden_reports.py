@@ -4,9 +4,12 @@ Each file in ``golden/reports`` is a ``qpsurf --report`` written by an
 earlier version: the absorb, verify-flip and jacobian reports before the
 substitution kernel took its current shape (length-ordered rule images,
 re-canonicalization without re-validation, candidate-start rotation), the
-normalize report before the absorption pipeline became one factor stream.
-``--recheck`` re-runs its command and compares outcome and witnesses, so a
-change that alters any witness fails here.
+normalize report before the absorption pipeline became one factor stream,
+and the potential (torus with n = 2, genus2p:1), ``jacobian-dim --table``,
+quiver and build reports before the two weighted-cycle builders became one
+and before ``build_quiver`` lost its arrow-name override.  ``--recheck``
+re-runs its command and compares outcome and witnesses, so a change that
+alters any witness fails here.
 """
 
 import pathlib
@@ -20,7 +23,7 @@ REPORTS = sorted((pathlib.Path(__file__).parent / "golden" / "reports").glob("*.
 
 def test_every_workload_kind_is_stored():
     commands = {path.stem.split("_")[0] for path in REPORTS}
-    assert {"absorb", "verify", "jacobian", "normalize"} <= commands
+    assert {"absorb", "verify", "jacobian", "normalize", "potential", "quiver", "build"} <= commands
 
 
 @pytest.mark.parametrize("path", REPORTS, ids=lambda p: p.stem)

@@ -24,7 +24,6 @@ from qpsurf.surface import (
     flip,
     once_punctured_torus,
     potential_S,
-    potential_Sxn,
     potential_T,
 )
 
@@ -34,13 +33,13 @@ GOLDEN = json.loads(
 
 
 def torus_qp(tq, n, degree):
-    return QP(tq.quiver, potential_Sxn(tq, 1, n, degree))
+    return QP(tq.quiver, potential_S(tq, 1, degree, n=n))
 
 
 class TestGenerators:
     def test_torus_shape(self, torus_tq):
         x = Fraction(3, 2)
-        qp = QP(torus_tq.quiver, potential_Sxn(torus_tq, x, 1, 12))
+        qp = QP(torus_tq.quiver, potential_S(torus_tq, x, 12))
         gens = jacobian_generators(qp)
         assert len(gens) == 6
         q = torus_tq.quiver
@@ -130,7 +129,7 @@ class TestAgainstBruteForce:
         assert list(quo.per_degree) == want
 
     def test_fractional_coefficients(self, torus_tq):
-        qp = QP(torus_tq.quiver, potential_Sxn(torus_tq, Fraction(-1, 3), 1, 12))
+        qp = QP(torus_tq.quiver, potential_S(torus_tq, Fraction(-1, 3), 12))
         quo, _ = quotient_dimension(qp, 8)
         want = oracles.brute_quotient_dims(
             torus_tq.quiver, qp.potential, 8, jacobian_generators(qp)
@@ -200,6 +199,17 @@ class TestReduction:
         want = {l: c for l, c in enumerate(quo.per_degree) if c}
         assert hist == want
 
+    def test_basis_size_is_the_dimension(self, torus_tq, fig_tq):
+        # Both count the paths below the cutoff that are neither pivot leads
+        # nor killed; genus2p:1 at D = 7 drops the rim cycle and stays
+        # uncertified, the other cases certify.
+        cases = [(torus_qp(torus_tq, 1, 12), 12), (torus_qp(torus_tq, 2, 18), 18)]
+        cases += [(QP(fig_tq.quiver, potential_S(fig_tq, 1, d)), d) for d in (7, 9, 10, 11, 12)]
+        for qp, d in cases:
+            quotient, certified = quotient_dimension(qp, d)
+            assert certified == (d != 7)
+            assert len(quotient.basis) == quotient.dimension
+
     def test_basis_paths_reduce_to_themselves(self, quo):
         for p in quo.basis:
             assert quo.is_basis_path(p)
@@ -236,7 +246,7 @@ class TestReduction:
         # β·f²(α)·f(α) is congruent to −x·n·β·(the long g-path of ∂_α)
         for n, d in ((1, 12), (2, 18)):
             x = Fraction(1)
-            qp = QP(torus_tq.quiver, potential_Sxn(torus_tq, x, n, d))
+            qp = QP(torus_tq.quiver, potential_S(torus_tq, x, d, n=n))
             quo, certified = quotient_dimension(qp, d)
             assert certified
             q = torus_tq.quiver

@@ -30,7 +30,7 @@ from qpsurf.path_algebra import (
     is_cyclically_equivalent,
     enumerate_cycle_classes,
 )
-from qpsurf.surface import potential_S, potential_T, potential_Sxn
+from qpsurf.surface import potential_S, potential_T
 
 
 def fig_random_potential(tq, degree, rng, lengths=(4, 8)):

@@ -28,14 +28,13 @@ from qpsurf.surface import (
     flip,
     once_punctured_torus,
     potential_S,
-    potential_Sxn,
     twice_punctured_genus,
 )
 
 
 def torus_qp(x=1, n=1, degree=None):
     tq = build_quiver(once_punctured_torus())
-    return QP(tq.quiver, potential_Sxn(tq, x, n, degree))
+    return QP(tq.quiver, potential_S(tq, x, degree, n=n))
 
 
 class TestTwoAcyclic:
@@ -212,13 +211,13 @@ class TestFlipCompatibility:
         report = verify_flip_compatibility(tau, 3, Fraction(1), 1, 18)
         assert report.ok
 
+    def test_two_punctures_are_rejected(self):
+        with pytest.raises(ValueError, match="needs exactly one puncture; quiver has 2"):
+            verify_flip_compatibility(twice_punctured_genus(1), 1, 1, 1)
+
     def test_perturbed_expectation_fails(self):
         tau = once_punctured_torus()
-        tq2 = build_quiver(flip(tau, 1))
-        perturb = Potential(
-            tq2.quiver, 18, {tq2.triangle_cycle(0): Fraction(1, 7)}
-        )
-        report = verify_flip_compatibility(tau, 1, Fraction(1), 1, 18, perturb=perturb)
+        report = verify_flip_compatibility(tau, 1, Fraction(1), 1, 18, perturb=Fraction(1, 7))
         assert not report.ok
         assert report.first_difference is not None
         assert any(not ok for _, ok, _ in report.checks)
@@ -234,8 +233,9 @@ class TestFlipWitness:
     def test_composite_witness_rechecks(self, n, x):
         tau = once_punctured_torus()
         for arc in (1, 2, 3):
-            report = verify_flip_compatibility(tau, arc, x, n, 12 * n + 6)
+            report = verify_flip_compatibility(tau, arc, x, n)
             assert report.ok
+            assert report.degree == 12 * n + 6
             pre = report.premutated
             carried = QP(pre.quiver, report.phi.apply(pre.potential))
             assert report.reduction.recheck(carried)

@@ -31,7 +31,6 @@ from qpsurf.surface import (
     flip,
     once_punctured_torus,
     potential_S,
-    potential_Sxn,
     potential_T,
     twice_punctured_genus,
 )
@@ -72,6 +71,24 @@ class TestTriangulation:
         tau = twice_punctured_genus(2)
         back = Triangulation.from_json_dict(tau.to_json_dict())
         assert back == tau
+
+    def test_json_carries_no_arrow_names(self):
+        # The builder's b/a/c labels are not stored, so a reload gets the
+        # default names: triangle 1's arrows are a1, b1, c1 again.
+        tau = twice_punctured_genus(1)
+        names = [a.name for a in build_quiver(tau).quiver.arrows[:3]]
+        back = build_quiver(Triangulation.from_json_dict(tau.to_json_dict()))
+        assert names == ["b1", "a1", "c1"]
+        assert [a.name for a in back.quiver.arrows[:3]] == ["a1", "b1", "c1"]
+
+    @pytest.mark.parametrize("data, missing", [
+        ({"command": ["build", "torus"], "witnesses": {}}, "'arcs', 'triangles'"),
+        ({"arcs": [1, 2, 3]}, "'triangles'"),
+        ([1, 2, 3], "'arcs', 'triangles'"),
+    ])
+    def test_json_that_is_not_a_triangulation(self, data, missing):
+        with pytest.raises(ValueError, match="not a triangulation: missing " + missing):
+            Triangulation.from_json_dict(data)
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_corner_orbits_match_dart_tracer(self, g):
@@ -319,20 +336,20 @@ class TestPotentials:
 
     def test_powered_potential_torus(self, torus_tq):
         x = Fraction(-1, 3)
-        pot = potential_Sxn(torus_tq, x, 2)
+        pot = potential_S(torus_tq, x, n=2)
         assert pot.degree == default_degree(12) == 30
         cyc = torus_tq.puncture_cycle("p0").arrows
         assert pot.coefficient(Path(cyc * 2)) == x
         assert pot.coefficient(Path(("c1", "b1", "a1"))) == 1
         assert len(pot.terms) == 3
 
-    def test_powered_potential_guards(self, torus_tq, fig_tq):
+    def test_powered_potential_guards(self, torus_tq):
         with pytest.raises(ValueError):
-            potential_Sxn(fig_tq, 1, 1)  # two punctures
+            potential_S(torus_tq, 1, n=0)
         with pytest.raises(ValueError):
-            potential_Sxn(torus_tq, 1, 0)
-        with pytest.raises(ValueError):
-            potential_Sxn(torus_tq, 0, 1)
+            potential_S(torus_tq, 0)
+        with pytest.raises(ValueError, match="expected 1 puncture coefficients, got 2"):
+            potential_S(torus_tq, (1, 2), n=2)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_powered_potential_derivatives(self, torus_tq, n):
@@ -340,7 +357,7 @@ class TestPotentials:
         # g-path that completes the puncture cycle power
         q = torus_tq.quiver
         x = Fraction(5, 7)
-        pot = potential_Sxn(torus_tq, x, n)
+        pot = potential_S(torus_tq, x, n=n)
         for a in q.arrows:
             d = pot.degree - 1
             corner = Path((torus_tq.f_of(a.name, 2), torus_tq.f_of(a.name)))
