@@ -35,7 +35,6 @@ from .qp_mutation import QP, is_two_acyclic, mutate, verify_flip_compatibility
 from .surface import (
     Triangulation,
     build_quiver,
-    check_conditions,
     classify_cycle,
     fg_witness_cycle,
     flip,
@@ -108,6 +107,20 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _load_object(path, build):
+    """Read a JSON input file and build an object from it.
+
+    JSON of the wrong shape (a number where a list belongs, say) makes
+    ``from_json_dict`` raise ``TypeError`` or ``AttributeError``; that
+    becomes a ``ValueError`` naming the file, so it ends in ERROR.
+    """
+    data = _load_json(path)
+    try:
+        return build(data)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError("%s: malformed input: %s" % (path, exc)) from None
+
+
 def _is_builtin(spec):
     """Whether a triangulation spec names a built-in surface rather than a file."""
     return spec == "torus" or spec.startswith("genus2p:")
@@ -118,7 +131,7 @@ def load_triangulation(spec):
     if spec is None:
         raise ValueError("no triangulation given: pass --triangulation (or --qp FILE)")
     if not _is_builtin(spec):
-        return Triangulation.from_json_dict(_load_json(spec))
+        return _load_object(spec, Triangulation.from_json_dict)
     if spec == "torus":
         return once_punctured_torus()
     return twice_punctured_genus(int(spec.split(":", 1)[1]))
@@ -150,9 +163,9 @@ def _parse_arc(text):
         return text
 
 
-def _rebase_potential(quiver, degree, data):
-    """Load a potential JSON at a caller-chosen truncation degree."""
-    pot = Potential.from_json_dict(quiver, data)
+def _rebase_potential(quiver, degree, path):
+    """Load a potential JSON file at a caller-chosen truncation degree."""
+    pot = _load_object(path, lambda data: Potential.from_json_dict(quiver, data))
     if pot.max_length() > degree:
         raise ValueError(
             "potential has a term of length %d, beyond degree %d"
@@ -205,7 +218,7 @@ def cmd_build(args):
         raise ValueError("unknown build target %r" % (target,))
     tau = load_triangulation(spec)
     tq = build_quiver(tau)
-    rep = check_conditions(tq)
+    rep = tq.conditions
     details = [
         "arcs: %d" % len(tau.arcs),
         "triangles: %d" % len(tau.triangles),
@@ -271,7 +284,7 @@ def cmd_flip(args):
 def cmd_quiver(args):
     tau = load_triangulation(args.triangulation)
     tq = build_quiver(tau)
-    rep = check_conditions(tq)
+    rep = tq.conditions
     q = tq.quiver
     details = ["vertices: %s" % (list(q.vertices),)]
     for a in q.arrows:
@@ -302,7 +315,7 @@ def cmd_potential(args):
 
 
 def cmd_mutate(args):
-    qp = QP.from_json_dict(_load_json(args.qp))
+    qp = _load_object(args.qp, QP.from_json_dict)
     k = _parse_arc(args.vertex)
     t0 = time.perf_counter()
     red, witness = mutate(qp, k)
@@ -369,7 +382,7 @@ def cmd_normalize(args):
         z_pot = Potential.zero(q, degree)
 
     if args.potential is not None:
-        us = [_rebase_potential(q, degree, _load_json(args.potential))]
+        us = [_rebase_potential(q, degree, args.potential)]
     else:
         us = [
             random_cycle_potential(tq, degree, random.Random(args.seed + i))
@@ -438,7 +451,7 @@ def cmd_absorb(args):
     x = parse_x(args.x)
     degree = args.degree
     if args.potential is not None:
-        v_pot = _rebase_potential(tq.quiver, degree, _load_json(args.potential))
+        v_pot = _rebase_potential(tq.quiver, degree, args.potential)
     elif args.powers is not None:
         v_pot = _powers_potential(tq, degree, args.powers)
     else:
@@ -568,7 +581,7 @@ def cmd_jacobian_dim(args):
         return ("PASS" if ok else "FAIL"), details, witnesses, timings
 
     if args.qp is not None:
-        qp = QP.from_json_dict(_load_json(args.qp))
+        qp = _load_object(args.qp, QP.from_json_dict)
         degree = args.degree if args.degree is not None else qp.degree
         inputs_w = {"qp": qp.to_json_dict()}
         tq = None

@@ -18,7 +18,8 @@ from .path_algebra import Path, Potential, TruncatedElement
 
 
 class REndomorphism:
-    """A substitution rule-set ``arrow -> element``; missing arrows map to themselves."""
+    """A substitution rule-set ``arrow -> element`` with every image in the
+    arrow ideal (no length-0 term); missing arrows map to themselves."""
 
     __slots__ = ("quiver", "degree", "rules")
 
@@ -42,6 +43,11 @@ class REndomorphism:
                 )
             img = img.truncate(degree)
             for p in img.terms:
+                if not p.arrows:
+                    raise ValueError(
+                        "rule for %r has a length-0 term: images must lie in the "
+                        "arrow ideal" % (name,)
+                    )
                 if quiver.path_tail(p) != a.tail or quiver.path_head(p) != a.head:
                     raise ValueError(
                         "rule for %r contains a path with wrong endpoints: %r" % (name, p)
@@ -77,15 +83,18 @@ class REndomorphism:
     def apply(self, x):
         """Apply the substitution to an element or a potential.
 
-        Each rule image is split into the arrow's own coefficient and the
-        remaining "branching" terms, whose minimal added length gates them
-        against the term's slack below the truncation degree: a term too
-        long to absorb any branching correction just picks up the product
-        of identity coefficients, in one pass.  Only terms with genuine
-        room expand into sums; runs of arrows that cannot branch are
-        concatenated wholesale.  For the duration of the call each image is
-        held as a list of ``(length, word, coeff)`` ordered by length, so
-        the expansion stops at the first term longer than the room left.
+        Every rule image lies in the arrow ideal (checked on construction),
+        so each arrow of a term contributes length at least one and the
+        output is well defined modulo the truncation.  One loop walks each
+        term's word in two steps.  Branch step: an arrow whose shortest
+        correction (image term other than the arrow, δ = its length − 1)
+        fits the term's slack below the degree expands into its image, held
+        for the call as ``(length, word, coeff)`` ordered by length, up to
+        the room the remaining arrows leave; that room bound is the only
+        length limit needed.  Run step: a maximal run of arrows that cannot
+        branch (no rule, or δ too large, δ = inf for a pure rescaling) is
+        appended whole and scaled once by the product of the run's own
+        arrow coefficients.
 
         A potential's output terms are cycles by construction (every rule
         image has its arrow's endpoints), so they are only re-canonicalized,
@@ -95,26 +104,17 @@ class REndomorphism:
             out = self.apply(x.as_element())
             return Potential(out.quiver, out.degree, out.terms, validate=False)
         d = min(self.degree, x.degree)
-        q = self.quiver
-        one = Fraction(1)
         info = {}
-        plus_lengths = True
         for name, img in self.rules.items():
-            unit = (name,)
-            c_id = 0
-            delta = None
             ordered = sorted(
                 ((len(r.arrows), r.arrows, cr) for r, cr in img.terms.items()),
                 key=itemgetter(0),
             )
-            for lr, r, cr in ordered:
-                if r == unit:
-                    c_id = cr
-                elif delta is None:
-                    delta = lr - 1
-            info[name] = (c_id, delta, ordered)
-            if ordered and ordered[0][0] == 0:
-                plus_lengths = False
+            unit = (name,)
+            c_id = next((cr for _, r, cr in ordered if r == unit), 0)
+            delta = next((lr - 1 for lr, r, _ in ordered if r != unit), inf)
+            # the run step skips a unit coefficient, as int 1 without Fractions
+            info[name] = (1 if c_id == 1 else c_id, delta, ordered)
         out = {}
         for p, c in x.terms.items():
             word = p.arrows
@@ -122,43 +122,16 @@ class REndomorphism:
             if n > d:
                 continue
             slack = d - n
-            branchy = False
-            ruled = False
-            for nm in word:
-                e = info.get(nm)
-                if e is not None:
-                    ruled = True
-                    if e[1] is not None and e[1] <= slack:
-                        branchy = True
-                        break
-            if not branchy:
-                s = c
-                if ruled:
-                    for nm in word:
-                        e = info.get(nm)
-                        if e is not None and e[0] != 1:
-                            s = s * e[0]
-                            if s == 0:
-                                break
-                if s != 0:
-                    tot = out.get(p, 0) + s
-                    if tot == 0:
-                        out.pop(p, None)
-                    else:
-                        out[p] = tot
-                continue
-            acc = {word[:0]: c}
+            acc = {(): c}
             i = 0
             while i < n and acc:
                 e = info.get(word[i])
-                if e is not None and e[1] is not None and e[1] <= slack:
-                    ordered = e[2]
+                if e is not None and e[1] <= slack:
                     i += 1
-                    tail_min = n - i if plus_lengths else 0
                     nxt = {}
                     for w, cw in acc.items():
-                        room = d - len(w) - tail_min
-                        for lr, r, cr in ordered:
+                        room = d - len(w) - (n - i)
+                        for lr, r, cr in e[2]:
                             if lr > room:
                                 break
                             ext = w + r
@@ -168,38 +141,33 @@ class REndomorphism:
                             else:
                                 nxt[ext] = s
                     acc = nxt
-                elif e is None:
-                    j = i + 1
-                    while j < n:
-                        e2 = info.get(word[j])
-                        if e2 is not None:
+                    continue
+                scale = 1
+                j = i
+                while j < n:
+                    e = info.get(word[j])
+                    if e is not None:
+                        if e[1] <= slack:
                             break
-                        j += 1
-                    chunk = word[i:j]
-                    i = j
-                    acc = {
-                        w + chunk: cw for w, cw in acc.items() if len(w) + len(chunk) <= d
-                    }
+                        if e[0] != 1:
+                            scale *= e[0]
+                    j += 1
+                run = word[i:j]
+                i = j
+                if scale == 0:
+                    acc = {}
+                elif scale == 1:
+                    acc = {w + run: cw for w, cw in acc.items()}
                 else:
-                    nm = word[i]
-                    i += 1
-                    c_id = e[0]
-                    if c_id == 0:
-                        acc = {}
-                    elif c_id == one:
-                        acc = {w + (nm,): cw for w, cw in acc.items() if len(w) < d}
-                    else:
-                        acc = {
-                            w + (nm,): cw * c_id for w, cw in acc.items() if len(w) < d
-                        }
+                    acc = {w + run: cw * scale for w, cw in acc.items()}
             for w, cw in acc.items():
-                key = Path(w) if w else q.lazy_path(q.path_head(p))
+                key = Path(w) if w else p
                 s = out.get(key, 0) + cw
                 if s == 0:
                     out.pop(key, None)
                 else:
                     out[key] = s
-        return TruncatedElement._raw(q, d, out)
+        return TruncatedElement._raw(self.quiver, d, out)
 
     # -- invariants ----------------------------------------------------
 
@@ -333,9 +301,11 @@ def invert_unitriangular(phi):
 def compose_all(factors, quiver, degree):
     """Compose a list of substitutions, latest applied last (...∘φ2∘φ1).
 
-    Folds pairwise in a balanced tree: composition is associative, so the
-    result is the same as a left fold, but the big late-stage composites
-    are rebuilt O(log n) times instead of O(n).
+    Folds pairwise in a balanced tree.  Composition is exactly associative
+    modulo the truncation because every rule image lies in the arrow ideal
+    (checked by ``REndomorphism``), so the result is the same as a left
+    fold, but the big late-stage composites are rebuilt O(log n) times
+    instead of O(n).
     """
     layer = list(factors)
     if not layer:

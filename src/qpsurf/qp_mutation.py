@@ -480,11 +480,12 @@ def verify_flip_compatibility(tau, k, x, n, degree=None, perturb=None):
 
     # Transport the potential through one factor at a time rather than
     # through the composite: (φ4∘φ3∘φ2∘φ1)(W) = φ4(φ3(φ2(φ1(W)))) exactly
-    # modulo D, because every rule image lies in the arrow ideal (no
-    # length-0 term), so a product of images never gets shorter than the
-    # word it replaces and truncating between factors drops nothing the
-    # composite would keep.  Each intermediate potential stays small, while
-    # the composite's rule images run to thousands of terms.
+    # modulo D, because every rule image lies in the arrow ideal
+    # (REndomorphism rejects a length-0 term), so a product of images never
+    # gets shorter than the word it replaces and truncating between factors
+    # drops nothing the composite would keep.  Each intermediate potential
+    # stays small, while the composite's rule images run to thousands of
+    # terms.
     transformed = pre.potential
     for factor in factors:
         transformed = factor.apply(transformed)

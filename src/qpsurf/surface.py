@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .path_algebra import Path, Potential, Quiver, canonicalize_rotation
 
@@ -315,6 +316,11 @@ class TriangulationQuiver:
         alpha = next(nm for nm, t in self.triangle_index.items() if t == i)
         return self.f_path(3, alpha)
 
+    @cached_property
+    def conditions(self):
+        """The standing conditions' report, computed once per quiver."""
+        return check_conditions(self)
+
     def __repr__(self):
         return "TriangulationQuiver(%r)" % (self.quiver,)
 
@@ -413,7 +419,7 @@ def check_conditions(tq):
 
 
 def _require_conditions(tq):
-    rep = check_conditions(tq)
+    rep = tq.conditions
     if not rep.ok:
         raise ValueError(
             "quiver violates the standing conditions: low-valency punctures %r, "
@@ -464,8 +470,14 @@ def potential_S(tq, x, degree=None, n=1):
     xs = _coerce_x(tq, x)
     if not isinstance(n, int) or n < 1:
         raise ValueError("the cycle power must be a positive integer, got %r" % (n,))
+    longest = max(3, n * max(p.valency for p in tq.punctures))
     if degree is None:
-        degree = default_degree(max(3, n * max(p.valency for p in tq.punctures)))
+        degree = default_degree(longest)
+    elif degree < longest:
+        raise ValueError(
+            "degree %d is below the longest term of S(τ, x, n), of length %d"
+            % (degree, longest)
+        )
     cycles = {Path(tq.puncture_cycle(p.pid).arrows * n): xs[p.pid] for p in tq.punctures}
     return potential_T(tq, degree) + Potential(tq.quiver, degree, cycles)
 

@@ -25,6 +25,16 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def _error_report(capsys, tmp_path, argv):
+    """Run argv with --report; return its output after checking it is an ERROR."""
+    rpt = tmp_path / "report.json"
+    code, out = run(capsys, "--report", str(rpt), *argv)
+    assert code == 2
+    assert out.rstrip().endswith("OUTCOME: ERROR")
+    assert json.loads(rpt.read_text())["outcome"] == "ERROR"
+    return out
+
+
 class TestBuild:
     def test_torus(self, capsys):
         code, out = run(capsys, "build", "torus")
@@ -120,6 +130,14 @@ class TestQuiverAndPotential:
         code, out = run(capsys, *argv)
         assert code == 2
         assert "ERROR: expected 1 puncture coefficients, got 2\n" in out
+
+    @pytest.mark.parametrize("subcommand", ["potential", "jacobian-dim"])
+    def test_degree_below_a_puncture_cycle(self, capsys, tmp_path, subcommand):
+        # the rim cycle of genus2p:1 has length 8
+        out = _error_report(capsys, tmp_path, [
+            subcommand, "--triangulation", "genus2p:1", "--x", "1", "--degree", "7",
+        ])
+        assert "degree 7 is below the longest term of S(τ, x, n), of length 8" in out
 
     def test_zero_coefficient_rejected(self, capsys):
         code, out = run(capsys, "potential", "--triangulation", "torus", "--x", "0")
@@ -435,6 +453,31 @@ class TestUsageErrors:
             main(["potential", "--help"])
         assert exc.value.code == 0
         assert "--triangulation" in capsys.readouterr().out
+
+
+_BAD_QP = {"quiver": {"vertices": 5, "arrows": []}, "potential": {"D": 3, "terms": []}}
+_BAD_POTENTIAL = {"D": 12, "terms": [{"coeff": "1", "path": 5}]}
+
+
+class TestMalformedInputFiles:
+    """A JSON input file of the wrong shape ends in an ERROR naming the file."""
+
+    @pytest.mark.parametrize("content, argv", [
+        ({"arcs": 5, "triangles": []}, ["quiver", "--triangulation", "F"]),
+        ({"arcs": [[1], 2, 3], "triangles": [[1, 2, 3], [1, 2, 3]]},
+         ["quiver", "--triangulation", "F"]),
+        (_BAD_QP, ["mutate", "--qp", "F", "--vertex", "1"]),
+        (_BAD_QP, ["jacobian-dim", "--qp", "F"]),
+        (_BAD_POTENTIAL, ["normalize", "--triangulation", "genus2p:1", "--potential", "F",
+                          "--degree", "12"]),
+        (_BAD_POTENTIAL, ["absorb", "--triangulation", "genus2p:1", "--x", "1",
+                          "--potential", "F", "--degree", "12"]),
+    ], ids=["arcs-int", "arc-list", "mutate-qp", "jacobian-qp", "normalize-pot", "absorb-pot"])
+    def test_wrong_shape_is_an_error(self, capsys, tmp_path, content, argv):
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(content))
+        out = _error_report(capsys, tmp_path, [str(f) if tok == "F" else tok for tok in argv])
+        assert "ERROR: %s: malformed input: " % f in out
 
 
 _SUBCOMMANDS = sorted(cli._HANDLERS)

@@ -5,11 +5,15 @@ earlier version: the absorb, verify-flip and jacobian reports before the
 substitution kernel took its current shape (length-ordered rule images,
 re-canonicalization without re-validation, candidate-start rotation), the
 normalize report before the absorption pipeline became one factor stream,
-and the potential (torus with n = 2, genus2p:1), ``jacobian-dim --table``,
+the potential (torus with n = 2, genus2p:1), ``jacobian-dim --table``,
 quiver and build reports before the two weighted-cycle builders became one
-and before ``build_quiver`` lost its arrow-name override.  ``--recheck``
-re-runs its command and compares outcome and witnesses, so a change that
-alters any witness fails here.
+and before ``build_quiver`` lost its arrow-name override, and the mutate
+report (vertex 1 of S(τ, (1, 1)) on genus2p:1 at D = 12, whose reduction
+witness comes from ``apply`` and ``compose``) before ``apply`` became one
+expansion loop over images in the arrow ideal.  ``--recheck`` re-runs its
+command and compares outcome and witnesses, so a change that alters any
+witness fails here.  Stored commands name input files relative to the
+repository root (``golden/inputs``), so the recheck runs there.
 """
 
 import pathlib
@@ -18,16 +22,20 @@ import pytest
 
 from qpsurf.cli import run_recheck
 
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 REPORTS = sorted((pathlib.Path(__file__).parent / "golden" / "reports").glob("*.json"))
 
 
 def test_every_workload_kind_is_stored():
     commands = {path.stem.split("_")[0] for path in REPORTS}
-    assert {"absorb", "verify", "jacobian", "normalize", "potential", "quiver", "build"} <= commands
+    assert {
+        "absorb", "verify", "jacobian", "normalize", "potential", "quiver", "build", "mutate"
+    } <= commands
 
 
 @pytest.mark.parametrize("path", REPORTS, ids=lambda p: p.stem)
-def test_recheck_reproduces_the_stored_report(path):
+def test_recheck_reproduces_the_stored_report(path, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
     report = run_recheck(str(path))
     assert report.outcome == "PASS", report.details
     assert report.witnesses["fresh_outcome"] == "PASS"

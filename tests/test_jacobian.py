@@ -201,10 +201,12 @@ class TestReduction:
 
     def test_basis_size_is_the_dimension(self, torus_tq, fig_tq):
         # Both count the paths below the cutoff that are neither pivot leads
-        # nor killed; genus2p:1 at D = 7 drops the rim cycle and stays
-        # uncertified, the other cases certify.
+        # nor killed; T + hub cycle on genus2p:1 at D = 7 stays uncertified,
+        # the other cases certify.
         cases = [(torus_qp(torus_tq, 1, 12), 12), (torus_qp(torus_tq, 2, 18), 18)]
-        cases += [(QP(fig_tq.quiver, potential_S(fig_tq, 1, d)), d) for d in (7, 9, 10, 11, 12)]
+        hub = Potential(fig_tq.quiver, 7, {fig_tq.puncture_cycle("p1"): 1})
+        cases += [(QP(fig_tq.quiver, potential_T(fig_tq, 7) + hub), 7)]
+        cases += [(QP(fig_tq.quiver, potential_S(fig_tq, 1, d)), d) for d in (9, 10, 11, 12)]
         for qp, d in cases:
             quotient, certified = quotient_dimension(qp, d)
             assert certified == (d != 7)

@@ -350,6 +350,10 @@ class TestPotentials:
             potential_S(torus_tq, 0)
         with pytest.raises(ValueError, match="expected 1 puncture coefficients, got 2"):
             potential_S(torus_tq, (1, 2), n=2)
+        # the puncture cycle squared has length 12: a lower degree would drop it
+        with pytest.raises(ValueError, match="below the longest term"):
+            potential_S(torus_tq, 1, 11, n=2)
+        assert len(potential_S(torus_tq, 1, 12, n=2).terms) == 3
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_powered_potential_derivatives(self, torus_tq, n):
