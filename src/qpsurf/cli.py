@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .endo import REndomorphism
-from .jacobian import g_path_independence_check, quotient_dimension
+from .jacobian import g_path_independence_check, jacobian_generators, quotient_dimension
 from .normalize import absorb_g_powers, g_normal_form
 from .path_algebra import (
     Path,
@@ -589,18 +589,29 @@ def cmd_jacobian_dim(args):
         tau = load_triangulation(args.triangulation)
         tq = build_quiver(tau)
         x = parse_x(args.x)
-        degree = args.degree
-        if degree is None:
-            raise ValueError("--degree is required in triangulation mode")
         n = 1 if args.n is None else args.n
+        m = max(p.valency for p in tq.punctures)
+        degree = args.degree if args.degree is not None else n * m + 6
         qp = QP(tq.quiver, potential_S(tq, x, degree, n=n))
         inputs_w = {"triangulation": tau.to_json_dict(), "x": _x_inputs(x), "n": args.n}
 
+    degrees = [degree]
+    if args.degree is None and tq is not None:
+        # the lowest degree that certifies, up to the table's own default
+        maxgen = max(g.max_length() for g in jacobian_generators(qp))
+        degrees = range(maxgen + 2, degree + 1)
     t0 = time.perf_counter()
-    quot, certified = quotient_dimension(qp, degree)
+    for degree in degrees:
+        quot, certified = quotient_dimension(qp, degree)
+        if certified:
+            break
     timings["dimension"] = time.perf_counter() - t0
     details.append("degree: %d" % degree)
     details.append("per-degree dimensions: %s" % (list(quot.per_degree),))
+    details.append(
+        "elimination: %d rows installed, pivots per length %s"
+        % (quot.rows, list(quot.pivots_per_length))
+    )
     if certified:
         details.append(
             "dimension: %d (exact; every path of length %d reduces to shorter)"

@@ -1,14 +1,15 @@
 """Truncated Jacobian-algebra dimensions by exact sparse elimination.
 
-The quotient A_{≤D} / (span{p·∂_α(S)·q} + 𝔪^{D+1}) is computed over the
-rationals.  Paths are indexed in graded-lexicographic order (longer paths
-rank higher, ties broken by arrow declaration order from the left); the
-index of a path is a sum of per-arrow prefix-table entries, one per
-letter, so the full path set is never materialized.  Elimination keeps
-one pivot row per leading path, with the lead being the graded-lex
-greatest path of the row — reductions therefore express long paths
-through shorter ones.  Kill-rule status (see _Kills) is decided on each
-word as its row is built, so elimination never unranks an index.
+The quotient A_{≤D} / (J + 𝔪^{D+1}), J the ideal of the ∂_α(S), is
+computed over the rationals.  Paths are indexed in graded-lexicographic
+order (longer paths rank higher, ties broken by arrow declaration order
+from the left); the index of a path is a sum of per-arrow prefix-table
+entries, one per letter, so the full path set is never materialized.
+Elimination keeps one pivot row per leading path, with the lead being the
+graded-lex greatest path of the row — reductions therefore express long
+paths through shorter ones.  The rows close the generators under arrow
+multiplication; each index keeps the word it was first built from, so its
+kill-rule status (see _Kills) is read from it and elimination never unranks.
 
 Finiteness certificate: if at some length L every path of that length
 either vanishes by a far-band rule or is a pivot, each of them rewrites
@@ -20,6 +21,7 @@ truncation artifact.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -93,26 +95,6 @@ class _PathIndex:
                 r -= c
         return Path(tuple(word))
 
-    def words_left(self, v, length):
-        """All length-`length` words whose leftmost arrow has head v."""
-        if length == 0:
-            return [()]
-        out = []
-        for a in self.quiver.arrows_in[v]:
-            for rest in self.words_left(a.tail, length - 1):
-                out.append((a.name,) + rest)
-        return out
-
-    def words_right(self, v, length):
-        """All length-`length` words whose rightmost arrow has tail v."""
-        if length == 0:
-            return [()]
-        out = []
-        for a in self.quiver.arrows_out[v]:
-            for pre in self.words_right(a.head, length - 1):
-                out.append(pre + (a.name,))
-        return out
-
 
 def jacobian_generators(qp):
     """One cyclic derivative per arrow, in arrow declaration order."""
@@ -130,6 +112,8 @@ class TruncatedQuotient:
     certified: bool
     certificate_length: object
     max_generator_length: int
+    rows: int  # rows installed, generators and arrow shifts
+    pivots_per_length: tuple
     _index: _PathIndex
     _pivots: dict
     _kills: object
@@ -299,9 +283,14 @@ def quotient_dimension(qp, degree):
     The window is the span of all truncations of p·(generator)·q with the
     product of length at most the degree — including pairs (p, q) so long
     that only part of the generator survives, since those truncated
-    products still lie in the ideal modulo 𝔪^{D+1}.  Near pairs are
-    eliminated as explicit rows; far pairs, where a single term survives,
-    become subword vanishing rules (see _Kills).
+    products still lie in the ideal modulo 𝔪^{D+1}.  Far pairs, where a
+    single term survives, become subword vanishing rules (see _Kills).  The
+    rows are the truncated generators and each new pivot row times one
+    composable arrow on either side, truncated: every p·(generator)·q is an
+    iterated arrow product, truncation commutes with it, and the killed
+    paths are closed under it, so pivots and killed paths span the same
+    window as all (p, q) rows.  The lead set is an invariant of the span
+    under a fixed order, so no result depends on the order of the rows.
 
     Certificate: if at some length L every path either vanishes by rule or
     is a pivot lead, then every length-L path is congruent to strictly
@@ -322,8 +311,8 @@ def quotient_dimension(qp, degree):
             % (qp.degree, degree)
         )
     gens = jacobian_generators(qp)
-    nonzero = [(a.name, g) for a, g in zip(q.arrows, gens) if not g.is_zero]
-    maxgen = max((g.max_length() for _, g in nonzero), default=0)
+    nonzero = [g for g in gens if not g.is_zero]
+    maxgen = max((g.max_length() for g in nonzero), default=0)
     if degree < maxgen + 2:
         raise ValueError(
             "degree %d is below max generator length %d + 2" % (degree, maxgen)
@@ -331,49 +320,58 @@ def quotient_dimension(qp, degree):
     index = _PathIndex(q, degree)
     kills = _Kills(index)
 
-    plans = []
-    for name, gen in nonzero:
+    for gen in nonzero:
         lengths = sorted({len(t.arrows) for t in gen.terms})
         lmin = lengths[0]
         at_min = [t for t in gen.terms if len(t.arrows) == lmin]
         if len(at_min) == 1 and lmin >= 1:
             # Beyond |p|+|q| = degree − (second length), only the shortest
             # term survives truncation: a single-path row, kept as a rule.
-            if len(lengths) == 1:
-                enum_cap = -1
-                band_min = lmin
-            else:
-                enum_cap = degree - lengths[1]
-                band_min = degree - lengths[1] + lmin + 1
+            band_min = lmin if len(lengths) == 1 else degree - lengths[1] + lmin + 1
             if band_min <= degree:
                 kills.add(at_min[0].arrows, band_min)
-        else:
-            enum_cap = degree - lmin
-        plans.append((name, gen, enum_cap))
 
-    pivots = {}
+    # pid -> (word, vertex) of every index a row has used, so that a pivot
+    # row can be shifted by an arrow without unranking its indices.
+    words = {}
     killed = kills.memo
-    for name, gen, enum_cap in plans:
-        hv, tv = q.head(name), q.tail(name)
-        terms = list(gen.terms.items())
-        rights = [index.words_right(tv, a) for a in range(enum_cap + 1)]
-        for b in range(enum_cap + 1):
-            for qword in index.words_left(hv, b):
-                for a in range(enum_cap - b + 1):
-                    live = [
-                        (t, c) for t, c in terms
-                        if len(t.arrows) + a + b <= degree
-                    ]
-                    for pword in rights[a]:
-                        row = {}
-                        for tpath, coeff in live:
-                            word = pword + tpath.arrows + qword
-                            at = None if word else tpath.at
-                            pid = index.pid(word, at)
-                            if pid not in killed:
-                                killed[pid] = kills.killed_word(word)
-                            row[pid] = row[pid] + coeff if pid in row else coeff
-                        _install(pivots, row, kills)
+    pivots = {}
+    fresh = deque()
+
+    def install(terms):
+        """Install the row of (word, vertex, coefficient) terms; queue a new pivot."""
+        row = {}
+        for word, at, coeff in terms:
+            pid = index.pid(word, at)
+            if pid not in words:
+                words[pid] = (word, at)
+                killed[pid] = kills.killed_word(word)
+            row[pid] = coeff
+        lead = _install(pivots, row, kills)
+        if lead is not None:
+            fresh.append(lead)
+
+    for gen in nonzero:
+        install((t.arrows, t.at, c) for t, c in gen.terms.items())
+    rows = len(nonzero)
+    # Close the span under arrows: every new pivot row, shifted once by each
+    # composable arrow on either side.  Distinct paths times one arrow are
+    # distinct paths, so a shifted row never sums two terms into one index.
+    while fresh:
+        terms = [
+            (words[pid], c) for pid, c in pivots[fresh.popleft()].items()
+            if len(words[pid][0]) < degree
+        ]
+        if not terms:
+            continue
+        word, at = terms[0][0]  # every term of a row has the same endpoints
+        head = q.head(word[0]) if word else at
+        tail = q.tail(word[-1]) if word else at
+        shifts = [((b.name,), ()) for b in q.arrows_out[head]]
+        shifts += [((), (b.name,)) for b in q.arrows_in[tail]]
+        rows += len(shifts)
+        for left, right in shifts:
+            install((left + w + right, None, c) for (w, _), c in terms)
 
     pivots_at = [0] * (degree + 1)
     for lead in pivots:
@@ -406,6 +404,8 @@ def quotient_dimension(qp, degree):
         certified=certified,
         certificate_length=cert_len,
         max_generator_length=maxgen,
+        rows=rows,
+        pivots_per_length=tuple(pivots_at),
         _index=index,
         _pivots=pivots,
         _kills=kills,
@@ -435,26 +435,16 @@ def g_path_independence_check(tq, quotient, n):
             "finiteness certificate unavailable at degree %d; "
             "cannot decide independence" % quotient.degree
         )
-    index = quotient._index
-    pivots = quotient._pivots
+    index, kills = quotient._index, quotient._kills
     m = tq.punctures[0].valency
-    residues = []
-    seen = set()
-    for a in tq.quiver.arrows:
-        for r in range(n * m - 1):
-            p = tq.g_path(r, a.name)
-            key = (p.arrows, p.at)
-            if key in seen:
-                continue
-            seen.add(key)
-            row = _reduce_against(
-                pivots, {index.pid(p.arrows, p.at): Fraction(1)}, quotient._kills
-            )
-            residues.append(row)
+    paths = dict.fromkeys(
+        tq.g_path(r, a.name) for a in tq.quiver.arrows for r in range(n * m - 1)
+    )
     # Rank of the residue family must equal its size.
     scratch = {}
     rank = 0
-    for row in residues:
-        if _install(scratch, row, quotient._kills) is not None:
+    for p in paths:
+        row = {index.pid(p.arrows, p.at): Fraction(1)}
+        if _install(scratch, _reduce_against(quotient._pivots, row, kills), kills) is not None:
             rank += 1
-    return rank == len(residues)
+    return rank == len(paths)

@@ -372,48 +372,43 @@ def brute_quotient_dims(quiver, pot, degree, generators):
 
     Builds every row p·gen·q (as a truncated product, so overlong terms of
     a generator simply drop out), eliminates with longest-lead pivoting,
-    and counts surviving paths per length.  Exponential in the degree;
-    keep the degree small.
+    and counts surviving paths per length.  A path is keyed by (word,
+    vertex) as in ``_paths_by_length``, so lazy paths stay apart.
+    Exponential in the degree; keep the degree small.
     """
     by_len = _paths_by_length(quiver, degree)
-    ranked = {p.arrows: i for i, p in enumerate(graded_lex_paths(quiver, degree))}
+    ranked = {(p.arrows, p.at): i for i, p in enumerate(graded_lex_paths(quiver, degree))}
 
-    def key_of(word):
-        return ranked[word]
+    def key_of(path):
+        return ranked[path]
 
-    left_words = {}
-    right_words = {}
-    for length, entries in by_len.items():
-        for w, at in entries:
-            if not w:
-                continue
-            left_words.setdefault(length, []).append(w)
-            right_words.setdefault(length, []).append(w)
-    left_words[0] = [()]
-    right_words[0] = [()]
+    words = {length: [w for w, _ in entries if w] for length, entries in by_len.items()}
+    words[0] = [()]
+
+    def ends(word, at):
+        return (quiver.head(word[0]), quiver.tail(word[-1])) if word else (at, at)
 
     rows = []
     for gen in generators:
-        gen_words = {p.arrows: c for p, c in gen.terms.items()}
-        if not gen_words:
+        gen_terms = [(p.arrows, p.at, c) + ends(p.arrows, p.at) for p, c in gen.terms.items()]
+        if not gen_terms:
             continue
-        gmin = min(len(w) for w in gen_words)
-        ghead = {w: quiver.head(w[0]) for w in gen_words}
-        gtail = {w: quiver.tail(w[-1]) for w in gen_words}
+        gmin = min(len(t[0]) for t in gen_terms)
         for la in range(degree - gmin + 1):
-            for wa in left_words.get(la, []):
+            for wa in words.get(la, []):
                 for lb in range(degree - gmin - la + 1):
-                    for wb in right_words.get(lb, []):
+                    for wb in words.get(lb, []):
                         row = {}
-                        for gw, gc in gen_words.items():
+                        for gw, gat, gc, ghead, gtail in gen_terms:
                             if la + len(gw) + lb > degree:
                                 continue
-                            if wa and quiver.tail(wa[-1]) != ghead[gw]:
+                            if wa and quiver.tail(wa[-1]) != ghead:
                                 continue
-                            if wb and gtail[gw] != quiver.head(wb[0]):
+                            if wb and gtail != quiver.head(wb[0]):
                                 continue
                             word = wa + gw + wb
-                            row[word] = row.get(word, Fraction(0)) + gc
+                            key = (word, None if word else gat)
+                            row[key] = row.get(key, Fraction(0)) + gc
                         row = {w: c for w, c in row.items() if c != 0}
                         if row:
                             rows.append(row)
@@ -439,6 +434,6 @@ def brute_quotient_dims(quiver, pot, degree, generators):
     dims = []
     for length in range(degree + 1):
         total = len(by_len[length])
-        leads = sum(1 for w in pivots if len(w) == length)
+        leads = sum(1 for w, _ in pivots if len(w) == length)
         dims.append(total - leads)
     return dims

@@ -381,6 +381,7 @@ class TestJacobianDim:
         assert code == 0
         assert "dimension: 36 (exact" in out
         assert "PASS g-paths below cutoff are linearly independent" in out
+        assert "rows installed, pivots per length [0, 0, 0, 15, 42," in out
 
     def test_qp_file_mode(self, capsys, tmp_path, torus_tq):
         qp = QP(torus_tq.quiver, potential_S(torus_tq, 1, 12))
@@ -402,12 +403,27 @@ class TestJacobianDim:
         assert code == 2
         assert "OUTCOME: ERROR" in out
 
-    def test_degree_required_in_triangulation_mode(self, capsys):
-        code, out = run(
-            capsys, "jacobian-dim", "--triangulation", "torus", "--x", "1"
+    @pytest.mark.parametrize(
+        "spec,x,n,degree,dimension",
+        [
+            ("torus", "1", 1, 7, 36),
+            ("torus", "1", 3, 19, 108),
+            ("genus2p:1", "1,1", 1, 9, 80),
+            ("genus2p:1", "1,1", 2, 17, 160),
+            ("genus2p:2", "1,1", 1, 17, 320),
+        ],
+    )
+    def test_lowest_certifying_degree_without_degree(self, spec, x, n, degree, dimension):
+        # degrees from the largest generator length + 2 up to n·m + 6 are
+        # tried in turn; the first that certifies is the one reported
+        report = cli.run_command(
+            ["jacobian-dim", "--triangulation", spec, "--x", x, "--n", str(n)]
         )
-        assert code == 2
-        assert "--degree is required" in out
+        assert report.outcome == "PASS"
+        assert report.witnesses["degree"] == degree
+        assert report.witnesses["dimension"] == dimension
+        assert report.witnesses["certified"] is True
+        assert "degree: %d" % degree in report.details
 
     def test_table_needs_one_puncture(self, capsys):
         code, out = run(

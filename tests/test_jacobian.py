@@ -5,9 +5,11 @@ pinned by the golden file."""
 
 import json
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from qpsurf.jacobian import (
@@ -25,11 +27,15 @@ from qpsurf.surface import (
     once_punctured_torus,
     potential_S,
     potential_T,
+    twice_punctured_genus,
 )
 
-GOLDEN = json.loads(
-    (pathlib.Path(__file__).parent / "golden" / "jacobian_dims.json").read_text()
-)
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "jacobian_dims.json").read_text())
+# S(τ, (1, 1)) on the two-puncture family genus2p:G, G = 1, 2, 3
+GOLDEN_2P = json.loads((GOLDEN_DIR / "jacobian_genus2p.json").read_text())
+
+TWO_LOOPS = Quiver(["u"], [("l", "u", "u"), ("m", "u", "u")])
 
 
 def torus_qp(tq, n, degree):
@@ -99,6 +105,18 @@ class TestGoldenDimensions:
         assert quo.dimension == entry["dimension"]
         assert quo.certificate_length == entry["certificate_length"]
         assert list(quo.per_degree) == entry["per_degree"]
+        assert sum(quo.pivots_per_length) == len(quo._pivots) <= quo.rows
+
+    @pytest.mark.parametrize("genus", [1, 2, 3])
+    def test_two_puncture_family(self, genus):
+        entry = GOLDEN_2P["g=%d" % genus]
+        tq = build_quiver(twice_punctured_genus(genus))
+        qp = QP(tq.quiver, potential_S(tq, (1, 1), entry["degree"]))
+        quo, certified = quotient_dimension(qp, entry["degree"])
+        assert certified
+        assert quo.dimension == entry["dimension"]
+        assert quo.certificate_length == entry["certificate_length"]
+        assert list(quo.per_degree) == entry["per_degree"]
 
     def test_lower_bound_and_strict_growth(self, torus_tq):
         dims = {}
@@ -135,6 +153,38 @@ class TestAgainstBruteForce:
             torus_tq.quiver, qp.potential, 8, jacobian_generators(qp)
         )
         assert list(quo.per_degree) == want
+
+    @pytest.mark.parametrize(
+        "terms,dims",
+        [
+            # ∂_l W = e_u: a row whose lead is a lazy path
+            ({("l",): 1, ("m", "m", "m"): 1}, [0] * 9),
+            ({("l", "m"): 1, ("l", "l", "l"): 1}, [1] + [0] * 8),
+        ],
+    )
+    def test_two_loops(self, terms, dims):
+        pot = Potential(TWO_LOOPS, 8, {Path(w): c for w, c in terms.items()})
+        qp = QP(TWO_LOOPS, pot)
+        quo, certified = quotient_dimension(qp, 8)
+        assert certified
+        assert list(quo.per_degree) == dims
+        assert oracles.brute_quotient_dims(TWO_LOOPS, pot, 8, jacobian_generators(qp)) == dims
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        which=st.sampled_from(["fig", "torus", "two loops"]),
+        seed=st.integers(0, 2**32 - 1),
+        degree=st.integers(4, 7),
+    )
+    def test_random_potentials(self, fig_tq, torus_tq, which, seed, degree):
+        q = {"fig": fig_tq.quiver, "torus": torus_tq.quiver, "two loops": TWO_LOOPS}[which]
+        # cycles shorter than the degree keep generators within the degree − 2 bound
+        pot = oracles.random_potential(q, degree, random.Random(seed), max_len=degree - 1)
+        qp = QP(q, pot)
+        quo, certified = quotient_dimension(qp, degree)
+        want = oracles.brute_quotient_dims(q, pot, degree, jacobian_generators(qp))
+        upto = quo.certificate_length if certified else degree + 1
+        assert list(quo.per_degree[:upto]) == want[:upto]
 
 
 class TestCertificate:
