@@ -534,10 +534,18 @@ def cmd_classify(args):
     return ("PASS" if bad == 0 else "FAIL"), details, witnesses, timings
 
 
+def _reject_ignored(args, mode, names):
+    """Raise if options that ``mode`` does not read were given."""
+    given = ["--" + nm for nm in names if getattr(args, nm) is not None]
+    if given:
+        raise ValueError("jacobian-dim %s ignores %s" % (mode, ", ".join(given)))
+
+
 def cmd_jacobian_dim(args):
     details = []
     timings = {}
     if args.table is not None:
+        _reject_ignored(args, "--table", ("qp", "n"))
         if args.table < 1:
             raise ValueError("the dimension table needs N >= 1, got %d" % args.table)
         tau = load_triangulation(args.triangulation or "torus")
@@ -581,6 +589,7 @@ def cmd_jacobian_dim(args):
         return ("PASS" if ok else "FAIL"), details, witnesses, timings
 
     if args.qp is not None:
+        _reject_ignored(args, "--qp", ("triangulation", "x", "n"))
         qp = _load_object(args.qp, QP.from_json_dict)
         degree = args.degree if args.degree is not None else qp.degree
         inputs_w = {"qp": qp.to_json_dict()}

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import inf
 from operator import itemgetter
 
-from .path_algebra import Path, Potential, TruncatedElement
+from .path_algebra import Path, Potential, TruncatedElement, exact_coefficient
 
 
 class REndomorphism:
@@ -94,7 +94,8 @@ class REndomorphism:
         length limit needed.  Run step: a maximal run of arrows that cannot
         branch (no rule, or δ too large, δ = inf for a pure rescaling) is
         appended whole and scaled once by the product of the run's own
-        arrow coefficients.
+        arrow coefficients.  Output coefficients are stored as the
+        constructor stores them (``exact_coefficient``: int when integral).
 
         A potential's output terms are cycles by construction (every rule
         image has its arrow's endpoints), so they are only re-canonicalized,
@@ -113,8 +114,7 @@ class REndomorphism:
             unit = (name,)
             c_id = next((cr for _, r, cr in ordered if r == unit), 0)
             delta = next((lr - 1 for lr, r, _ in ordered if r != unit), inf)
-            # the run step skips a unit coefficient, as int 1 without Fractions
-            info[name] = (1 if c_id == 1 else c_id, delta, ordered)
+            info[name] = (c_id, delta, ordered)
         out = {}
         for p, c in x.terms.items():
             word = p.arrows
@@ -135,11 +135,15 @@ class REndomorphism:
                             if lr > room:
                                 break
                             ext = w + r
-                            s = nxt.get(ext, 0) + cw * cr
-                            if s == 0:
-                                nxt.pop(ext, None)
+                            s = nxt.get(ext)
+                            if s is None:
+                                nxt[ext] = cw * cr
                             else:
-                                nxt[ext] = s
+                                s += cw * cr
+                                if s == 0:
+                                    del nxt[ext]
+                                else:
+                                    nxt[ext] = s
                     acc = nxt
                     continue
                 scale = 1
@@ -162,11 +166,15 @@ class REndomorphism:
                     acc = {w + run: cw * scale for w, cw in acc.items()}
             for w, cw in acc.items():
                 key = Path(w) if w else p
-                s = out.get(key, 0) + cw
-                if s == 0:
-                    out.pop(key, None)
+                s = out.get(key)
+                if s is None:
+                    out[key] = exact_coefficient(cw)
                 else:
-                    out[key] = s
+                    s += cw
+                    if s == 0:
+                        del out[key]
+                    else:
+                        out[key] = exact_coefficient(s)
         return TruncatedElement._raw(self.quiver, d, out)
 
     # -- invariants ----------------------------------------------------

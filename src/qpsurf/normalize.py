@@ -102,7 +102,7 @@ def normalize_triangle_coefficients(tq, pot):
     d = pot.degree
     rules = {}
     for cyc, i in _triangle_cycles(tq).items():
-        z = pot.terms.get(cyc, Fraction(0))
+        z = pot.terms.get(cyc, 0)
         if z == 0:
             raise ValueError(
                 "triangle %d (sides %r) has no 3-cycle term; cannot normalize"

@@ -218,6 +218,24 @@ def canonicalize_rotation(quiver, p):
     return Path(w[best:] + w[:best])
 
 
+def exact_coefficient(c):
+    """An exact coefficient: ``int`` when integral, else ``Fraction``.
+
+    Accepts anything ``Fraction`` accepts except ``float``, which is
+    refused with ``TypeError``: a binary float is rarely the rational the
+    caller meant (``0.1`` is 3602879701896397/36028797018963968).  Plain
+    ints keep integral arithmetic out of ``Fraction``; ``str``, ``==`` and
+    ``hash`` agree between an int and the equal ``Fraction``.
+    """
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise TypeError("float coefficient %r: use an int, a Fraction or a string" % (c,))
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class _Graded:
     """A finite rational combination of paths, modulo paths longer than D.
 
@@ -227,6 +245,9 @@ class _Graded:
     truncation, arithmetic, comparison and JSON — is the same.  Operands of
     different subclasses never mix: arithmetic between them raises
     ``TypeError`` and they never compare equal.
+
+    A coefficient is an ``int`` or a ``Fraction``, never a ``float``; the
+    constructor stores integral ones as ``int`` (``exact_coefficient``).
     """
 
     __slots__ = ("quiver", "degree", "terms")
@@ -241,17 +262,21 @@ class _Graded:
         for p, c in (terms or {}).items():
             if len(p.arrows) > degree:
                 continue
-            c = Fraction(c)
+            c = exact_coefficient(c)
             if c == 0:
                 continue
             if validate:
                 self._check(p)
             key = self._key(p)
-            s = clean.get(key, 0) + c
-            if s == 0:
-                clean.pop(key, None)
+            s = clean.get(key)
+            if s is None:
+                clean[key] = c
             else:
-                clean[key] = s
+                s += c
+                if s == 0:
+                    del clean[key]
+                else:
+                    clean[key] = exact_coefficient(s)
         self.terms = clean
 
     def _check(self, p):
@@ -294,7 +319,8 @@ class _Graded:
         return max(len(p.arrows) for p in self.terms)
 
     def coefficient(self, p):
-        return self.terms.get(self._key(p), Fraction(0))
+        """The coefficient of ``p``: an ``int`` or a ``Fraction``, 0 if absent."""
+        return self.terms.get(self._key(p), 0)
 
     def truncate(self, degree):
         if degree >= self.degree:
@@ -333,7 +359,7 @@ class _Graded:
         return self._raw(self.quiver, self.degree, {p: -c for p, c in self.terms.items()})
 
     def scale(self, c):
-        c = Fraction(c)
+        c = exact_coefficient(c)
         if c == 0:
             return self._raw(self.quiver, self.degree, {})
         return self._raw(
@@ -389,7 +415,7 @@ class _Graded:
                 raise ValueError(
                     "term %r is longer than the truncation degree %d" % (p, degree)
                 )
-            terms[p] = terms.get(p, 0) + Fraction(entry["coeff"])
+            terms[p] = terms.get(p, 0) + exact_coefficient(entry["coeff"])
         return cls(quiver, degree, terms)
 
 
@@ -400,7 +426,7 @@ class TruncatedElement(_Graded):
 
     @classmethod
     def from_path(cls, quiver, degree, p, coeff=1):
-        return cls(quiver, degree, {p: Fraction(coeff)})
+        return cls(quiver, degree, {p: coeff})
 
     @classmethod
     def from_arrow(cls, quiver, degree, name, coeff=1):

@@ -238,9 +238,9 @@ def reduce(qp):
                 )
             for (one, other) in ((u, v), (v, u)):
                 if one == w1 and other != w0:
-                    x_corr[other] = x_corr.get(other, Fraction(0)) + c
+                    x_corr[other] = x_corr.get(other, 0) + c
                 if one == w0 and other != w1:
-                    y_corr[other] = y_corr.get(other, Fraction(0)) + c
+                    y_corr[other] = y_corr.get(other, 0) + c
         rules = {}
         if x_corr:
             img = TruncatedElement.from_arrow(q, d, w0)
@@ -390,8 +390,8 @@ def _first_difference(got, want):
         keys, key=lambda p: (len(p), tuple(got.quiver.rank(nm) for nm in p.arrows))
     )
     for p in order:
-        a = got.terms.get(p, Fraction(0))
-        b = want.terms.get(p, Fraction(0))
+        a = got.terms.get(p, 0)
+        b = want.terms.get(p, 0)
         if a != b:
             return "%r: got %s, expected %s" % (p, a, b)
     return None

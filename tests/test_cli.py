@@ -391,6 +391,31 @@ class TestJacobianDim:
         assert code == 0
         assert "dimension: 36 (exact" in out
 
+    @pytest.mark.parametrize(
+        "argv,ignored",
+        [
+            (["--qp", "QP", "--triangulation", "genus2p:1"], "--triangulation"),
+            (["--qp", "QP", "--x", "5"], "--x"),
+            (["--qp", "QP", "--n", "3"], "--n"),
+            (
+                ["--qp", "QP", "--triangulation", "genus2p:1", "--x", "5", "--n", "3", "--certify"],
+                "--triangulation, --x, --n",
+            ),
+            (["--table", "2", "--qp", "QP"], "--qp"),
+            (["--table", "2", "--n", "2"], "--n"),
+            (["--table", "2", "--qp", "QP", "--n", "2"], "--qp, --n"),
+        ],
+    )
+    def test_options_the_mode_ignores_are_an_error(
+        self, capsys, tmp_path, torus_tq, argv, ignored
+    ):
+        f = tmp_path / "qp.json"
+        f.write_text(json.dumps(QP(torus_tq.quiver, potential_S(torus_tq, 1, 12)).to_json_dict()))
+        argv = [str(f) if a == "QP" else a for a in argv]
+        out = _error_report(capsys, tmp_path, ["jacobian-dim"] + argv)
+        mode = "--table" if "--table" in argv else "--qp"
+        assert "jacobian-dim %s ignores %s" % (mode, ignored) in out
+
     def test_table(self, capsys):
         code, out = run(capsys, "jacobian-dim", "--table", "2", "--x", "1")
         assert code == 0
@@ -494,6 +519,16 @@ class TestMalformedInputFiles:
         f.write_text(json.dumps(content))
         out = _error_report(capsys, tmp_path, [str(f) if tok == "F" else tok for tok in argv])
         assert "ERROR: %s: malformed input: " % f in out
+
+    def test_float_coefficient_is_an_error(self, capsys, tmp_path, fig_tq):
+        # a JSON number 0.1 is a binary float, not the rational 1/10
+        cycle = list(fig_tq.triangle_cycle(0).arrows)
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps({"D": 12, "terms": [{"coeff": 0.1, "path": cycle}]}))
+        out = _error_report(capsys, tmp_path, [
+            "normalize", "--triangulation", "genus2p:1", "--potential", str(f), "--degree", "12",
+        ])
+        assert "ERROR: %s: malformed input: float coefficient 0.1" % f in out
 
 
 _SUBCOMMANDS = sorted(cli._HANDLERS)

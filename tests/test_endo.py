@@ -5,11 +5,13 @@ a term-by-term reference in oracles.py."""
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from qpsurf import normalize
 from qpsurf.endo import (
     REndomorphism,
     compose,
@@ -18,6 +20,7 @@ from qpsurf.endo import (
     limit_compose,
 )
 from qpsurf.path_algebra import Path, Potential, Quiver, TruncatedElement
+from qpsurf.surface import potential_S
 
 
 def arrow_el(q, d, name, coeff=1):
@@ -344,3 +347,131 @@ class TestSerialization:
         rng = random.Random(511)
         phi = oracles.random_unitriangular(q, 9, rng, nrules=4)
         assert REndomorphism.from_json_dict(q, phi.to_json_dict()) == phi
+
+
+MIXED_POOL = (1, 2, -1, Fraction(-1, 3), Fraction(3, 2), Fraction(1, 2))
+
+
+def assert_exact(terms, stored=True):
+    """No coefficient is a float; with ``stored``, an integral one is an int.
+
+    ``stored`` holds for what ``_Graded.__init__`` and ``apply`` return; a
+    sum from ``__add__`` may keep an integral ``Fraction``.
+    """
+    for c in terms.values():
+        assert type(c) in (int, Fraction), repr(c)
+        if stored:
+            assert type(c) is int or c.denominator != 1, repr(c)
+
+
+def mixed(cls, el, rng):
+    """The same support with coefficients redrawn from MIXED_POOL."""
+    return cls(el.quiver, el.degree, {p: rng.choice(MIXED_POOL) for p in el.terms})
+
+
+def mixed_image(q, d, name, unit, rng):
+    """unit·arrow plus up to three parallel words with pool coefficients."""
+    words = oracles.parallel_words(q, name, d)
+    terms = {Path((name,)): unit}
+    for w in rng.sample(words, min(3, len(words))):
+        terms[Path(w)] = rng.choice(MIXED_POOL)
+    return TruncatedElement(q, d, terms)
+
+
+class TestMixedCoefficients:
+    """Integral coefficients are ints, the rest Fractions; divisions stay exact."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        which=st.sampled_from(["fig", "torus", "two loops"]),
+        seed=st.integers(0, 2**32 - 1),
+        unit=st.sampled_from(MIXED_POOL),
+        degree=st.integers(3, 8),
+        nrules=st.integers(1, 4),
+    )
+    def test_apply_and_inverse_match_the_reference(
+        self, fig_tq, torus_tq, which, seed, unit, degree, nrules
+    ):
+        q = {"fig": fig_tq.quiver, "torus": torus_tq.quiver, "two loops": TWO_LOOPS}[which]
+        rng = random.Random(seed)
+        names = rng.sample([a.name for a in q.arrows], min(nrules, len(q.arrows)))
+        phi = REndomorphism(
+            q, degree, {nm: mixed_image(q, degree, nm, unit, rng) for nm in names}
+        )
+        for img in phi.rules.values():
+            assert_exact(img.terms)
+        x = mixed(TruncatedElement, oracles.random_element(q, degree, rng, nterms=6), rng)
+        assert_exact(x.terms)
+        got = phi.apply(x)
+        assert oracles.element_words(got) == oracles.naive_apply(phi, x)
+        assert_exact(got.terms)
+        pot = mixed(Potential, oracles.random_potential(q, degree, rng, nterms=4), rng)
+        out = phi.apply(pot)
+        want = oracles.naive_apply(phi, pot.as_element())
+        assert out == Potential(q, degree, {Path(w): c for w, c in want.items()})
+        assert_exact(out.terms)
+
+        unitri = REndomorphism(
+            q, degree, {nm: mixed_image(q, degree, nm, 1, rng) for nm in names}
+        )
+        psi = invert_unitriangular(unitri)
+        for img in psi.rules.values():
+            assert_exact(img.terms, stored=False)
+        assert compose(psi, unitri).is_identity
+        there = unitri.apply(x)
+        assert_exact(there.terms)
+        assert psi.apply(there) == x
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        z=st.lists(st.sampled_from(MIXED_POOL), min_size=4, max_size=4),
+        lam=st.sampled_from(MIXED_POOL),
+    )
+    def test_triangle_rescaling_divides_exactly(self, fig_tq, z, lam):
+        q = fig_tq.quiver
+        terms = {fig_tq.triangle_cycle(i): z[i] for i in range(4)}
+        terms[fig_tq.puncture_cycle("p1")] = lam
+        pot = Potential(q, 12, terms)
+        phi, out = normalize.normalize_triangle_coefficients(fig_tq, pot)
+        for img in phi.rules.values():
+            assert_exact(img.terms)
+        assert_exact(out.terms)
+        for i in range(4):
+            c = out.coefficient(fig_tq.triangle_cycle(i))
+            assert type(c) is int and c == 1
+        assert phi.apply(pot) == out
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        xs=st.tuples(st.sampled_from(MIXED_POOL), st.sampled_from(MIXED_POOL)),
+        lam=st.sampled_from(MIXED_POOL),
+        mu=st.sampled_from(MIXED_POOL),
+    )
+    def test_absorption_divides_out_exactly(self, fig_tq, xs, lam, mu):
+        q = fig_tq.quiver
+        d = 20
+        rim = fig_tq.puncture_cycle("p0").arrows
+        hub = fig_tq.puncture_cycle("p1").arrows
+        v_pot = Potential(q, d, {Path(rim * 2): lam, Path(hub * 3): mu})
+        factors = []
+        real = normalize.limit_compose
+
+        def recording(stream, quiver, degree):
+            def tee():
+                for f in stream:
+                    factors.append(f)
+                    yield f
+
+            return real(tee(), quiver, degree)
+
+        with mock.patch.object(normalize, "limit_compose", recording):
+            phi = normalize.absorb_g_powers(fig_tq, xs, v_pot)
+        assert factors
+        for f in factors + [phi]:
+            for img in f.rules.values():
+                assert_exact(img.terms, stored=False)
+        s_pot = potential_S(fig_tq, xs, d)
+        assert_exact(s_pot.terms)
+        out = phi.apply(s_pot + v_pot)
+        assert_exact(out.terms)
+        assert out == s_pot

@@ -215,6 +215,51 @@ class TestTruncatedArithmetic:
         assert lam * (mu * a) == (lam * mu) * a
 
 
+class TestCoefficientTypes:
+    """A coefficient is an int when integral, a Fraction otherwise, never a float."""
+
+    @pytest.mark.parametrize("bad", [0.1, 0.5, 2.0, float("nan")])
+    def test_float_coefficients_are_rejected(self, bad):
+        q = tiny_quiver()
+        x = q.path(["x"])
+        with pytest.raises(TypeError, match="float coefficient"):
+            TruncatedElement.from_arrow(q, 4, "x", bad)
+        with pytest.raises(TypeError, match="float coefficient"):
+            TruncatedElement.from_path(q, 4, x, bad)
+        with pytest.raises(TypeError, match="float coefficient"):
+            TruncatedElement(q, 4, {x: bad})
+        with pytest.raises(TypeError, match="float coefficient"):
+            Potential(q, 4, {q.path(["z"]): bad})
+        with pytest.raises(TypeError, match="float coefficient"):
+            TruncatedElement.from_arrow(q, 4, "x").scale(bad)
+        with pytest.raises(TypeError):
+            bad * TruncatedElement.from_arrow(q, 4, "x")
+
+    def test_integral_coefficients_are_stored_as_int(self):
+        q = tiny_quiver()
+        x, z = q.path(["x"]), q.path(["z"])
+        a = TruncatedElement(q, 4, {x: Fraction(4, 2), z: "3/1"})
+        assert a.terms == {x: 2, z: 3}
+        assert all(type(c) is int for c in a.terms.values())
+        # two rotations of one cycle merge: 1/2 + 1/2 is stored as int 1
+        cyc, rot = q.path(["x", "r", "y"]), q.path(["y", "x", "r"])
+        pot = Potential(q, 6, {cyc: Fraction(1, 2), rot: Fraction(1, 2)})
+        (c,) = pot.terms.values()
+        assert type(c) is int and c == 1
+        b = TruncatedElement.from_arrow(q, 4, "x", Fraction(-1, 3))
+        assert type(b.coefficient(x)) is Fraction
+        assert b.scale(-3).terms == {x: 1}
+        assert TruncatedElement.from_arrow(q, 4, "x").coefficient(z) == 0
+
+    def test_int_and_equal_fraction_serialize_alike(self):
+        q = tiny_quiver()
+        x = q.path(["x"])
+        as_int = TruncatedElement(q, 4, {x: 2})
+        as_fraction = TruncatedElement._raw(q, 4, {x: Fraction(2)})
+        assert as_int == as_fraction
+        assert as_int.to_json_dict() == as_fraction.to_json_dict()
+
+
 class TestShort:
     def test_zero_is_infinite(self, torus_tq):
         q = torus_tq.quiver
