@@ -13,6 +13,7 @@ the recheck comparison meaningful.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -137,6 +138,12 @@ def load_triangulation(spec):
     return twice_punctured_genus(int(spec.split(":", 1)[1]))
 
 
+def _surface(spec):
+    """(τ, Q(τ)) for a triangulation spec."""
+    tau = load_triangulation(spec)
+    return tau, build_quiver(tau)
+
+
 def _fraction(token, option):
     """One exact rational from the command line; errors name the option."""
     token = token.strip()
@@ -204,20 +211,15 @@ def _x_inputs(x):
 # Subcommand handlers.  Each returns (outcome, details, witnesses, timings).
 # ----------------------------------------------------------------------
 
+def _reject_ignored(args, mode, names):
+    """Raise if options that ``mode`` of the subcommand does not read were given."""
+    given = ["--" + nm.replace("_", "-") for nm in names if getattr(args, nm) is not None]
+    if given:
+        raise ValueError("%s %s ignores %s" % (args.subcommand, mode, ", ".join(given)))
+
+
 def cmd_build(args):
-    target, *rest = args.what
-    if target == "torus":
-        spec = target
-    elif target == "genus2p" and len(rest) == 1:
-        spec = "genus2p:" + rest[0]
-    elif target == "load" and len(rest) == 1:
-        spec = rest[0]
-    elif target in ("genus2p", "load"):
-        raise ValueError("usage: build %s %s" % (target, "G" if target == "genus2p" else "FILE"))
-    else:
-        raise ValueError("unknown build target %r" % (target,))
-    tau = load_triangulation(spec)
-    tq = build_quiver(tau)
+    tau, tq = _surface(args.triangulation)
     rep = tq.conditions
     details = [
         "arcs: %d" % len(tau.arcs),
@@ -262,10 +264,10 @@ def _conditions_lines(rep):
 
 
 def cmd_flip(args):
-    tau = load_triangulation(args.triangulation)
+    tau, tq1 = _surface(args.triangulation)
     k = _parse_arc(args.arc)
     sigma = flip(tau, k)
-    tq1, tq2 = build_quiver(tau), build_quiver(sigma)
+    tq2 = build_quiver(sigma)
     details = [
         "flip arc %r" % (k,),
         "before: %s" % (list(tau.triangles),),
@@ -282,8 +284,7 @@ def cmd_flip(args):
 
 
 def cmd_quiver(args):
-    tau = load_triangulation(args.triangulation)
-    tq = build_quiver(tau)
+    tau, tq = _surface(args.triangulation)
     rep = tq.conditions
     q = tq.quiver
     details = ["vertices: %s" % (list(q.vertices),)]
@@ -303,8 +304,7 @@ def cmd_quiver(args):
 
 
 def cmd_potential(args):
-    tau = load_triangulation(args.triangulation)
-    tq = build_quiver(tau)
+    tau, tq = _surface(args.triangulation)
     x = parse_x(args.x)
     pot = potential_S(tq, x, args.degree, n=args.n)
     details = ["degree: %d" % pot.degree, "terms: %d" % len(pot.terms)]
@@ -371,23 +371,25 @@ def cmd_verify_flip(args):
 
 
 def cmd_normalize(args):
-    tau = load_triangulation(args.triangulation)
-    tq = build_quiver(tau)
+    tau, tq = _surface(args.triangulation)
     q = tq.quiver
     degree = args.degree
+    witnesses = {"triangulation": tau.to_json_dict(), "degree": degree}
     if args.x is not None:
         x = parse_x(args.x)
         z_pot = potential_S(tq, x, degree) - potential_T(tq, degree)
+        witnesses["x"] = _x_inputs(x)
     else:
         z_pot = Potential.zero(q, degree)
 
     if args.potential is not None:
+        _reject_ignored(args, "--potential", ("random", "seed"))
         us = [_rebase_potential(q, degree, args.potential)]
     else:
-        us = [
-            random_cycle_potential(tq, degree, random.Random(args.seed + i))
-            for i in range(args.random)
-        ]
+        seed = 0 if args.seed is None else args.seed
+        count = 1 if args.random is None else args.random
+        us = [random_cycle_potential(tq, degree, random.Random(seed + i)) for i in range(count)]
+        witnesses.update(seed=seed, count=count)
 
     # g_normal_form raises unless it verified T+Z+U -> T+Z+W and W's shape.
     details = []
@@ -409,16 +411,7 @@ def cmd_normalize(args):
         )
     timings = {"normalize": time.perf_counter() - t0}
     details.append("%d/%d runs normalized" % (len(us), len(us)))
-    witnesses = {
-        "triangulation": tau.to_json_dict(),
-        "degree": degree,
-        "runs": runs,
-    }
-    if args.x is not None:
-        witnesses["x"] = _x_inputs(parse_x(args.x))
-    if args.potential is None:
-        witnesses["seed"] = args.seed
-        witnesses["count"] = args.random
+    witnesses["runs"] = runs
     return "PASS", details, witnesses, timings
 
 
@@ -446,11 +439,11 @@ def _powers_potential(tq, degree, spec):
 
 
 def cmd_absorb(args):
-    tau = load_triangulation(args.triangulation)
-    tq = build_quiver(tau)
+    tau, tq = _surface(args.triangulation)
     x = parse_x(args.x)
     degree = args.degree
     if args.potential is not None:
+        _reject_ignored(args, "--potential", ("powers",))
         v_pot = _rebase_potential(tq.quiver, degree, args.potential)
     elif args.powers is not None:
         v_pot = _powers_potential(tq, degree, args.powers)
@@ -489,35 +482,30 @@ def _classify_one(tq, cycle):
 
 
 def cmd_classify(args):
-    tau = load_triangulation(args.triangulation)
-    tq = build_quiver(tau)
+    tau, tq = _surface(args.triangulation)
     details = []
     entries = []
     counts = {"F": 0, "G": 0, "FG": 0}
     bad = 0
     if args.cycle is not None:
+        _reject_ignored(args, "--cycle", ("max_length",))
         cycles = [tq.quiver.path([s.strip() for s in args.cycle.split(",")])]
     else:
-        cycles = enumerate_cycle_classes(tq.quiver, args.max_length)
+        max_length = 10 if args.max_length is None else args.max_length
+        cycles = enumerate_cycle_classes(tq.quiver, max_length)
     t0 = time.perf_counter()
     for cyc in cycles:
         cls, ok = _classify_one(tq, cyc)
         counts[cls.kind] += 1
         bad += not ok
-        entry = {"cycle": list(cyc.arrows), "kind": cls.kind, "witness_ok": ok}
         if cls.kind in ("F", "G"):
-            entry["n"] = cls.n
-            entry["base"] = cls.base
+            shape, extra = {"n": cls.n, "base": cls.base}, " n=%d base=%s" % (cls.n, cls.base)
         else:
-            entry["witness_arrow"] = cls.witness_arrow
-            entry["remainder"] = list(cls.remainder.arrows)
-        entries.append(entry)
+            rest = cls.remainder.arrows
+            shape = {"witness_arrow": cls.witness_arrow, "remainder": list(rest)}
+            extra = " a=%s remainder=%s" % (cls.witness_arrow, ".".join(rest))
+        entries.append(dict(shape, cycle=list(cyc.arrows), kind=cls.kind, witness_ok=ok))
         if args.cycle is not None or not ok:
-            extra = (
-                " n=%d base=%s" % (cls.n, cls.base)
-                if cls.kind in ("F", "G")
-                else " a=%s remainder=%s" % (cls.witness_arrow, ".".join(cls.remainder.arrows))
-            )
             details.append(
                 "%s %s: %s%s" % ("PASS" if ok else "FAIL", ".".join(cyc.arrows), cls.kind, extra)
             )
@@ -534,93 +522,81 @@ def cmd_classify(args):
     return ("PASS" if bad == 0 else "FAIL"), details, witnesses, timings
 
 
-def _reject_ignored(args, mode, names):
-    """Raise if options that ``mode`` does not read were given."""
-    given = ["--" + nm for nm in names if getattr(args, nm) is not None]
-    if given:
-        raise ValueError("jacobian-dim %s ignores %s" % (mode, ", ".join(given)))
+def _jacobian_qp(tq, x, n, degree):
+    """QP(S(τ, x, n)) truncated at ``degree``, by default n·m + 6 for the largest valency m."""
+    if degree is None:
+        degree = n * max(p.valency for p in tq.punctures) + 6
+    return QP(tq.quiver, potential_S(tq, x, degree, n=n))
+
+
+def _quotient_entries(quot):
+    """The witness entries that every Jacobian dimension report carries."""
+    return {"degree": quot.degree, "dimension": quot.dimension,
+            "per_degree": list(quot.per_degree), "certified": quot.certified}
+
+
+def _jacobian_table(args):
+    _reject_ignored(args, "--table", ("qp", "n"))
+    if args.table < 1:
+        raise ValueError("the dimension table needs N >= 1, got %d" % args.table)
+    tau, tq = _surface(args.triangulation or "torus")
+    x = parse_x(args.x)
+    if len(tq.punctures) != 1:
+        raise ValueError("the dimension table needs a once-punctured surface")
+    m = tq.punctures[0].valency
+    details = ["n   D    dim   certified   lower bound"]
+    rows, timings, ok = [], {}, True
+    for n in range(1, args.table + 1):
+        qp = _jacobian_qp(tq, x, n, args.degree)
+        t0 = time.perf_counter()
+        quot, certified = quotient_dimension(qp, qp.degree)
+        timings["n=%d" % n] = time.perf_counter() - t0
+        bound = n * m - 2
+        row_ok = certified and quot.dimension >= bound
+        row_ok = row_ok and (not rows or quot.dimension > rows[-1]["dimension"])
+        ok = ok and row_ok
+        rows.append(dict(_quotient_entries(quot), n=n, bound=bound))
+        details.append(
+            "%-3d %-4d %-5d %-11s %d %s"
+            % (n, qp.degree, quot.dimension, certified, bound, "ok" if row_ok else "VIOLATED")
+        )
+    witnesses = {"rows": rows, "x": _x_inputs(x), "valency": m}
+    return ("PASS" if ok else "FAIL"), details, witnesses, timings
 
 
 def cmd_jacobian_dim(args):
-    details = []
-    timings = {}
     if args.table is not None:
-        _reject_ignored(args, "--table", ("qp", "n"))
-        if args.table < 1:
-            raise ValueError("the dimension table needs N >= 1, got %d" % args.table)
-        tau = load_triangulation(args.triangulation or "torus")
-        tq = build_quiver(tau)
-        x = parse_x(args.x)
-        if len(tq.punctures) != 1:
-            raise ValueError("the dimension table needs a once-punctured surface")
-        m = tq.punctures[0].valency
-        rows = []
-        ok = True
-        prev = None
-        details.append("n   D    dim   certified   lower bound")
-        for n in range(1, args.table + 1):
-            degree = args.degree if args.degree is not None else n * m + 6
-            pot = potential_S(tq, x, degree, n=n)
-            t0 = time.perf_counter()
-            quot, certified = quotient_dimension(QP(tq.quiver, pot), degree)
-            timings["n=%d" % n] = time.perf_counter() - t0
-            bound = n * m - 2
-            row_ok = certified and quot.dimension >= bound
-            if prev is not None:
-                row_ok = row_ok and quot.dimension > prev
-            ok = ok and row_ok
-            prev = quot.dimension
-            rows.append(
-                {
-                    "n": n,
-                    "degree": degree,
-                    "dimension": quot.dimension,
-                    "certified": certified,
-                    "bound": bound,
-                    "per_degree": list(quot.per_degree),
-                }
-            )
-            details.append(
-                "%-3d %-4d %-5d %-11s %d %s"
-                % (n, degree, quot.dimension, certified, bound,
-                   "ok" if row_ok else "VIOLATED")
-            )
-        witnesses = {"rows": rows, "x": _x_inputs(x), "valency": m}
-        return ("PASS" if ok else "FAIL"), details, witnesses, timings
-
+        return _jacobian_table(args)
     if args.qp is not None:
         _reject_ignored(args, "--qp", ("triangulation", "x", "n"))
         qp = _load_object(args.qp, QP.from_json_dict)
-        degree = args.degree if args.degree is not None else qp.degree
-        inputs_w = {"qp": qp.to_json_dict()}
-        tq = None
+        tq = n = None
+        degrees = [qp.degree if args.degree is None else args.degree]
+        witnesses = {"qp": qp.to_json_dict()}
     else:
-        tau = load_triangulation(args.triangulation)
-        tq = build_quiver(tau)
+        tau, tq = _surface(args.triangulation)
         x = parse_x(args.x)
         n = 1 if args.n is None else args.n
-        m = max(p.valency for p in tq.punctures)
-        degree = args.degree if args.degree is not None else n * m + 6
-        qp = QP(tq.quiver, potential_S(tq, x, degree, n=n))
-        inputs_w = {"triangulation": tau.to_json_dict(), "x": _x_inputs(x), "n": args.n}
+        qp = _jacobian_qp(tq, x, n, args.degree)
+        degrees = [qp.degree]
+        if args.degree is None:
+            # the lowest degree that certifies, up to the table's own default
+            maxgen = max(g.max_length() for g in jacobian_generators(qp))
+            degrees = range(maxgen + 2, qp.degree + 1)
+        witnesses = {"triangulation": tau.to_json_dict(), "x": _x_inputs(x), "n": args.n}
 
-    degrees = [degree]
-    if args.degree is None and tq is not None:
-        # the lowest degree that certifies, up to the table's own default
-        maxgen = max(g.max_length() for g in jacobian_generators(qp))
-        degrees = range(maxgen + 2, degree + 1)
     t0 = time.perf_counter()
     for degree in degrees:
         quot, certified = quotient_dimension(qp, degree)
         if certified:
             break
-    timings["dimension"] = time.perf_counter() - t0
-    details.append("degree: %d" % degree)
-    details.append("per-degree dimensions: %s" % (list(quot.per_degree),))
-    details.append(
+    timings = {"dimension": time.perf_counter() - t0}
+    details = [
+        "degree: %d" % degree,
+        "per-degree dimensions: %s" % (list(quot.per_degree),),
         "elimination: %d rows installed, pivots per length %s"
-        % (quot.rows, list(quot.pivots_per_length))
-    )
+        % (quot.rows, list(quot.pivots_per_length)),
+    ]
     if certified:
         details.append(
             "dimension: %d (exact; every path of length %d reduces to shorter)"
@@ -635,24 +611,15 @@ def cmd_jacobian_dim(args):
     if args.certify and not certified:
         details.append("FAIL certificate did not engage by degree %d" % degree)
         outcome = "FAIL"
-    if args.certify and tq is not None and args.n is not None and len(tq.punctures) == 1 and certified:
+    if args.certify and tq is not None and len(tq.punctures) == 1 and certified:
         t0 = time.perf_counter()
-        indep = g_path_independence_check(tq, quot, args.n)
+        indep = g_path_independence_check(tq, quot, n)
         timings["independence"] = time.perf_counter() - t0
         details.append(
             "%s g-paths below cutoff are linearly independent" % ("PASS" if indep else "FAIL")
         )
         outcome = outcome if indep else "FAIL"
-    witnesses = dict(inputs_w)
-    witnesses.update(
-        {
-            "degree": degree,
-            "dimension": quot.dimension,
-            "per_degree": list(quot.per_degree),
-            "certified": certified,
-            "certificate_length": quot.certificate_length,
-        }
-    )
+    witnesses.update(_quotient_entries(quot), certificate_length=quot.certificate_length)
     return outcome, details, witnesses, timings
 
 
@@ -670,21 +637,37 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError("%s: %s" % (self.prog, message))
 
 
+class _BuildTarget(argparse.Action):
+    """Stores ``build``'s words, torus | genus2p G | load FILE, as the spec they name."""
+
+    def __call__(self, parser, namespace, words, option_string=None):
+        usage = {"torus": "torus", "genus2p": "genus2p G", "load": "load FILE"}.get(words[0])
+        if usage is None:
+            raise ValueError("unknown build target %r" % (words[0],))
+        if len(words) != len(usage.split()):
+            raise ValueError("usage: build %s" % usage)
+        namespace.triangulation = ":".join(words) if words[0] == "genus2p" else words[-1]
+
+
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process.
+
+    It does not know the global options: ``main`` takes them off the front
+    of argv, so anywhere else they are unrecognized arguments.
+    """
     p = _ArgumentParser(
         prog="qpsurf",
-        description="Exact computations with potentials on triangulated surfaces.",
+        usage="%(prog)s [--report FILE] (--recheck FILE | COMMAND ...)",
+        description="Exact computations with potentials on triangulated surfaces.  "
+        "The global options go before the command: --report FILE writes the run "
+        "report as JSON; --recheck FILE re-runs a stored report and compares "
+        "outcome and witnesses.",
     )
-    p.add_argument("--report", metavar="FILE", help="write the run report as JSON")
-    p.add_argument(
-        "--recheck",
-        metavar="FILE",
-        help="re-run a stored report and compare outcome and witnesses",
-    )
-    sub = p.add_subparsers(dest="subcommand")
+    sub = p.add_subparsers(dest="subcommand", prog="qpsurf", required=True)
 
     sp = sub.add_parser("build", help="construct a triangulation and its quiver")
-    sp.add_argument("what", nargs="+", metavar="TARGET",
+    sp.add_argument("triangulation", nargs="+", metavar="TARGET", action=_BuildTarget,
                     help="torus | genus2p G | load FILE")
 
     sp = sub.add_parser("flip", help="flip an arc")
@@ -717,8 +700,8 @@ def build_parser():
     sp.add_argument("--triangulation", required=True)
     sp.add_argument("--x")
     sp.add_argument("--potential", metavar="FILE")
-    sp.add_argument("--random", type=int, default=1, metavar="COUNT")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--random", type=int, metavar="COUNT")
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--degree", type=int, default=16)
 
     sp = sub.add_parser("absorb", help="absorb powers of puncture cycles")
@@ -732,7 +715,7 @@ def build_parser():
     sp = sub.add_parser("classify", help="sort cycles into the three shapes")
     sp.add_argument("--triangulation", required=True)
     sp.add_argument("--cycle", metavar="A,B,C")
-    sp.add_argument("--max-length", type=int, default=10)
+    sp.add_argument("--max-length", type=int)
 
     sp = sub.add_parser("jacobian-dim", help="truncated quotient dimensions")
     sp.add_argument("--qp", metavar="FILE")
@@ -766,8 +749,6 @@ def _input_digest(argv, args):
     """The argv plus a sha256 of every input file the parsed options name."""
     inputs = {"argv": list(argv)}
     spec = getattr(args, "triangulation", None)
-    if args.subcommand == "build" and len(args.what) == 2 and args.what[0] == "load":
-        spec = args.what[1]
     paths = [getattr(args, "qp", None), getattr(args, "potential", None)]
     if spec is not None and not _is_builtin(spec):
         paths.append(spec)
@@ -790,14 +771,13 @@ def run_command(argv):
     """Run one subcommand and return its RunReport.
 
     Never raises, except that ``--help`` prints help and exits as argparse
-    does; a command line argparse rejects is an ERROR carrying its message.
+    does; a command line argparse rejects, such as one that names the
+    global options ``main`` reads, is an ERROR carrying its message.
     """
     inputs = {"argv": list(argv)}
     start = time.perf_counter()
     try:
         args = build_parser().parse_args(argv)
-        if args.subcommand is None:
-            return RunReport(list(argv), {}, "ERROR", ["no subcommand given"])
         inputs = _input_digest(argv, args)
         outcome, details, witnesses, timings = _HANDLERS[args.subcommand](args)
     except _ERRORS as exc:
@@ -842,49 +822,41 @@ def run_recheck(path):
         lines.append("FAIL witnesses diverge at: %s" % ", ".join(diff_keys))
     else:
         lines.append("PASS witnesses reproduced bit for bit")
-    report = RunReport(
+    return RunReport(
         ["recheck", path], {"report": _digest_file(path)},
         "PASS" if ok else "FAIL", lines,
         {"stored_outcome": stored.outcome, "fresh_outcome": fresh.outcome},
         dict(fresh.timings),
     )
-    return report
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    # Peel off the global options by hand so they may precede the subcommand.
-    report_path = None
-    recheck_path = None
-    rest = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--report" and i + 1 < len(argv):
-            report_path = argv[i + 1]
-            i += 2
-        elif argv[i] == "--recheck" and i + 1 < len(argv):
-            recheck_path = argv[i + 1]
-            i += 2
-        else:
-            rest.append(argv[i])
-            i += 1
+    paths = {}
+    # each global option once, from the front; the parser rejects the rest
+    while argv[:1] in (["--report"], ["--recheck"]) and len(argv) > 1 and argv[0] not in paths:
+        paths[argv[0]] = argv[1]
+        del argv[:2]
+    recheck_path = paths.get("--recheck")
 
     if recheck_path is not None:
         try:
+            if argv:
+                raise ValueError("--recheck takes no command, got: %s" % " ".join(argv))
             report = run_recheck(recheck_path)
         except _ERRORS as exc:
             report = RunReport(["recheck", recheck_path], {}, "ERROR", ["ERROR: %s" % exc])
-    elif not rest:
+    elif not argv:
         build_parser().print_usage()
         return 2
     else:
-        report = run_command(rest)
+        report = run_command(argv)
 
     for line in report.details:
         print(line)
     print("OUTCOME: %s" % report.outcome)
-    if report_path is not None:
-        with open(report_path, "w") as fh:
+    if "--report" in paths:
+        with open(paths["--report"], "w") as fh:
             json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     return report.exit_code

@@ -139,18 +139,13 @@ def premutate(qp, k):
         Arrow(b.name + "*", b.head, k) for b in outs
     ]
     new_q = Quiver(q.vertices, untouched + composites + stars)
-    d = qp.degree
-    bracketed = Potential.zero(new_q, d)
-    for p, z in qp.potential.terms.items():
-        bracketed = bracketed + Potential(
-            new_q, d, {_bracket_cycle(q, new_q, k, p): z}
-        )
-    delta = Potential.zero(new_q, d)
+    # bracketing is injective on rotation classes, and the Δ cycles are the
+    # only terms through starred arrows, so no two terms share a key here
+    terms = {_bracket_cycle(q, new_q, k, p): z for p, z in qp.potential.terms.items()}
     for a in ins:
         for b in outs:
-            cyc = new_q.path((a.name + "*", b.name + "*", "[%s%s]" % (b.name, a.name)))
-            delta = delta + Potential(new_q, d, {cyc: Fraction(1)})
-    return QP(new_q, bracketed + delta)
+            terms[new_q.path((a.name + "*", b.name + "*", "[%s%s]" % (b.name, a.name)))] = 1
+    return QP(new_q, Potential(new_q, qp.degree, terms))
 
 
 # ----------------------------------------------------------------------
@@ -258,9 +253,7 @@ def reduce(qp):
 
     pairs = tuple(pairs)
     paired_arrows = {nm for uv in pairs for nm in uv}
-    trivial = Potential.zero(q, d)
-    for w0, w1 in pairs:
-        trivial = trivial + Potential(q, d, {q.path((w0, w1)): Fraction(1)})
+    trivial = Potential(q, d, {q.path(pair): 1 for pair in pairs})
 
     def contamination(p):
         rest = p - trivial

@@ -78,6 +78,16 @@ class TestBuild:
         code, out = run(capsys, "quiver", "--triangulation", str(tri))
         assert code == 0
 
+    @pytest.mark.parametrize("words, usage", [
+        (["torus", "2"], "build torus"),
+        (["genus2p"], "build genus2p G"),
+        (["load", "a.json", "b.json"], "build load FILE"),
+    ])
+    def test_wrong_number_of_words(self, capsys, words, usage):
+        code, out = run(capsys, "build", *words)
+        assert code == 2
+        assert "ERROR: usage: %s\n" % usage in out
+
     def test_load_missing_file(self, capsys, tmp_path):
         code, out = run(capsys, "build", "load", str(tmp_path / "nope.json"))
         assert code == 2
@@ -383,6 +393,15 @@ class TestJacobianDim:
         assert "PASS g-paths below cutoff are linearly independent" in out
         assert "rows installed, pivots per length [0, 0, 0, 15, 42," in out
 
+    @pytest.mark.parametrize("n", [[], ["--n", "1"]], ids=["default-n", "n=1"])
+    def test_independence_check_on_the_default_n(self, capsys, n):
+        code, out = run(
+            capsys, "jacobian-dim", "--triangulation", "torus",
+            "--x", "1", "--degree", "12", "--certify", *n,
+        )
+        assert code == 0
+        assert "PASS g-paths below cutoff are linearly independent" in out
+
     def test_qp_file_mode(self, capsys, tmp_path, torus_tq):
         qp = QP(torus_tq.quiver, potential_S(torus_tq, 1, 12))
         f = tmp_path / "qp.json"
@@ -455,6 +474,79 @@ class TestJacobianDim:
             capsys, "jacobian-dim", "--table", "2", "--triangulation", "genus2p:1"
         )
         assert code == 2
+
+
+class TestIgnoredOptions:
+    """An option the chosen mode of a subcommand would not read is an ERROR."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["absorb", "--triangulation", "genus2p:1", "--x", "1,1", "--degree", "20",
+          "--potential", "V", "--powers", "p1:2=1"], "absorb --potential ignores --powers"),
+        (["classify", "--triangulation", "genus2p:1", "--cycle", "b1,c1,b4,c2",
+          "--max-length", "6"], "classify --cycle ignores --max-length"),
+        (["normalize", "--triangulation", "genus2p:1", "--degree", "12",
+          "--potential", "U", "--random", "2"], "normalize --potential ignores --random"),
+        (["normalize", "--triangulation", "genus2p:1", "--degree", "12",
+          "--potential", "U", "--random", "2", "--seed", "0"],
+         "normalize --potential ignores --random, --seed"),
+    ], ids=["absorb-powers", "classify-max-length", "normalize-random", "normalize-both"])
+    def test_is_an_error(self, capsys, tmp_path, fig_tq, argv, message):
+        hub = fig_tq.puncture_cycle("p1").arrows
+        files = {
+            "V": Potential(fig_tq.quiver, 20, {Path(hub * 2): 1}),
+            "U": Potential(fig_tq.quiver, 12, {Path(("b1", "c1", "b4", "c2")): 1}),
+        }
+        for name, pot in files.items():
+            (tmp_path / name).write_text(json.dumps(pot.to_json_dict()))
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        out = _error_report(capsys, tmp_path, argv)
+        assert "ERROR: %s\n" % message in out
+
+
+class TestGlobalOptions:
+    """--report and --recheck are read by main, from the front of argv only."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--recheck", "nope.json", "build", "torus"],
+        ["--report", "r.json", "build", "torus"],
+        ["build", "torus", "--report", "r.json"],
+    ])
+    def test_run_command_rejects_them(self, argv):
+        report = cli.run_command(argv)
+        assert report.outcome == "ERROR"
+
+    def test_recheck_takes_no_command(self, capsys, tmp_path):
+        rpt = tmp_path / "build.json"
+        run(capsys, "--report", str(rpt), "build", "torus")
+        code, out = run(capsys, "--recheck", str(rpt), "build", "torus")
+        assert code == 2
+        assert "ERROR: --recheck takes no command, got: build torus\n" in out
+
+    def test_report_after_the_command(self, capsys, tmp_path):
+        rpt = tmp_path / "build.json"
+        code, out = run(capsys, "build", "torus", "--report", str(rpt))
+        assert code == 2
+        assert "unrecognized arguments: --report %s\n" % rpt in out
+        assert not rpt.exists()
+
+    def test_given_twice(self, capsys, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        code, out = run(capsys, "--report", str(first), "--report", str(second), "build", "torus")
+        # the second --report is left for the parser, which rejects it
+        assert code == 2
+        assert "invalid choice: %r" % str(second) in out
+        assert json.loads(first.read_text())["outcome"] == "ERROR"
+        assert not second.exists()
+
+    def test_help_lists_them(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--report FILE" in out and "--recheck FILE" in out
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestUsageErrors:
