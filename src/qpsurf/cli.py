@@ -212,8 +212,14 @@ def _x_inputs(x):
 # ----------------------------------------------------------------------
 
 def _reject_ignored(args, mode, names):
-    """Raise if options that ``mode`` of the subcommand does not read were given."""
-    given = ["--" + nm.replace("_", "-") for nm in names if getattr(args, nm) is not None]
+    """Raise if options that ``mode`` of the subcommand does not read were given.
+
+    An option counts as given unless it holds None, or False for a flag.
+    """
+    given = [
+        "--" + nm.replace("_", "-") for nm in names
+        if getattr(args, nm) is not None and getattr(args, nm) is not False
+    ]
     if given:
         raise ValueError("%s %s ignores %s" % (args.subcommand, mode, ", ".join(given)))
 
@@ -388,6 +394,8 @@ def cmd_normalize(args):
     else:
         seed = 0 if args.seed is None else args.seed
         count = 1 if args.random is None else args.random
+        if count < 0:
+            raise ValueError("normalize --random needs COUNT >= 0, got %d" % count)
         us = [random_cycle_potential(tq, degree, random.Random(seed + i)) for i in range(count)]
         witnesses.update(seed=seed, count=count)
 
@@ -536,7 +544,7 @@ def _quotient_entries(quot):
 
 
 def _jacobian_table(args):
-    _reject_ignored(args, "--table", ("qp", "n"))
+    _reject_ignored(args, "--table", ("qp", "n", "certify"))
     if args.table < 1:
         raise ValueError("the dimension table needs N >= 1, got %d" % args.table)
     tau, tq = _surface(args.triangulation or "torus")

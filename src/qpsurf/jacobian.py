@@ -8,8 +8,12 @@ entries, one per letter, so the full path set is never materialized.
 Elimination keeps one pivot row per leading path, with the lead being the
 graded-lex greatest path of the row — reductions therefore express long
 paths through shorter ones.  The rows close the generators under arrow
-multiplication; each index keeps the word it was first built from, so its
-kill-rule status (see _Kills) is read from it and elimination never unranks.
+multiplication one side at a time: a pivot born from a left shift is
+shifted again only on the left, every other pivot on both sides, which
+spans the same window with far fewer rows (see quotient_dimension).  Each
+index keeps the word it was first built from, so its kill-rule status (see
+_Kills) is read from it and elimination never unranks.  Coefficients stay
+plain ints while integral (``exact_coefficient``).
 
 Finiteness certificate: if at some length L every path of that length
 either vanishes by a far-band rule or is a pivot, each of them rewrites
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .path_algebra import Path, cyclic_derivative
+from .path_algebra import Path, cyclic_derivative, exact_coefficient
 
 
 class _PathIndex:
@@ -254,7 +258,7 @@ def _reduce_against(pivots, row, kills):
             for i, c in pivots[lead].items():
                 if i == lead:
                     continue
-                nxt = row.get(i, Fraction(0)) - coeff * c
+                nxt = row.get(i, 0) - coeff * c
                 if nxt:
                     row[i] = nxt
                 else:
@@ -272,8 +276,11 @@ def _install(pivots, row, kills):
     if not row:
         return None
     lead = max(row)
-    inv = Fraction(1, 1) / row[lead]
-    pivots[lead] = {i: c * inv for i, c in row.items()}
+    scale = row[lead]
+    if scale != 1:  # a row led by 1 keeps its coefficients, ints included
+        inv = 1 / Fraction(scale)
+        row = {i: exact_coefficient(c * inv) for i, c in row.items()}
+    pivots[lead] = row
     return lead
 
 
@@ -284,13 +291,24 @@ def quotient_dimension(qp, degree):
     product of length at most the degree — including pairs (p, q) so long
     that only part of the generator survives, since those truncated
     products still lie in the ideal modulo 𝔪^{D+1}.  Far pairs, where a
-    single term survives, become subword vanishing rules (see _Kills).  The
-    rows are the truncated generators and each new pivot row times one
-    composable arrow on either side, truncated: every p·(generator)·q is an
-    iterated arrow product, truncation commutes with it, and the killed
-    paths are closed under it, so pivots and killed paths span the same
-    window as all (p, q) rows.  The lead set is an invariant of the span
-    under a fixed order, so no result depends on the order of the rows.
+    single term survives, become subword vanishing rules (see _Kills).
+
+    The rows are the truncated generators and new pivot rows times one
+    composable arrow, truncated.  Every new pivot is shifted by each arrow
+    on its left.  A pivot made from a generator or a right shift is also
+    shifted on its right; a pivot made from a left shift is not.  Write V
+    for the span of the pivots and K for the span of the killed paths.  A
+    left-born pivot is Q = trunc(a·P) − Σ cᵢ·Pᵢ − (killed terms), with P and
+    every Pᵢ made before Q.  Then trunc(Q·b) = trunc(a·(P·b)) − Σ cᵢ·Pᵢ·b −
+    (killed terms).  By induction on creation order, P·b and every Pᵢ·b lie
+    in V + K (directly, for a pivot that was shifted on its right); V + K
+    is closed under left shifts, because every pivot gets them, so
+    a·(P·b) lies in it too.  Truncation commutes with arrow products and
+    killed paths stay killed under them, so V + K is closed under arrows on
+    both sides: it is the span of all truncated p·(generator)·q, the same
+    window as shifting every pivot both ways.  The lead set is an invariant
+    of that span under a fixed order, so no result depends on which rows
+    built it.
 
     Certificate: if at some length L every path either vanishes by rule or
     is a pivot lead, then every length-L path is congruent to strictly
@@ -338,8 +356,9 @@ def quotient_dimension(qp, degree):
     pivots = {}
     fresh = deque()
 
-    def install(terms):
-        """Install the row of (word, vertex, coefficient) terms; queue a new pivot."""
+    def install(terms, left_born):
+        """Install the row of (word, vertex, coefficient) terms; queue a new pivot
+        with whether it was born from a left shift."""
         row = {}
         for word, at, coeff in terms:
             pid = index.pid(word, at)
@@ -349,29 +368,33 @@ def quotient_dimension(qp, degree):
             row[pid] = coeff
         lead = _install(pivots, row, kills)
         if lead is not None:
-            fresh.append(lead)
+            fresh.append((lead, left_born))
 
     for gen in nonzero:
-        install((t.arrows, t.at, c) for t, c in gen.terms.items())
+        install(((t.arrows, t.at, c) for t, c in gen.terms.items()), False)
     rows = len(nonzero)
     # Close the span under arrows: every new pivot row, shifted once by each
-    # composable arrow on either side.  Distinct paths times one arrow are
-    # distinct paths, so a shifted row never sums two terms into one index.
+    # composable arrow on the left, and also on the right unless the row was
+    # born from a left shift (see the docstring for why that loses nothing).
+    # Distinct paths times one arrow are distinct paths, so a shifted row
+    # never sums two terms into one index.
     while fresh:
+        lead, left_born = fresh.popleft()
         terms = [
-            (words[pid], c) for pid, c in pivots[fresh.popleft()].items()
+            (words[pid], c) for pid, c in pivots[lead].items()
             if len(words[pid][0]) < degree
         ]
         if not terms:
             continue
         word, at = terms[0][0]  # every term of a row has the same endpoints
         head = q.head(word[0]) if word else at
-        tail = q.tail(word[-1]) if word else at
         shifts = [((b.name,), ()) for b in q.arrows_out[head]]
-        shifts += [((), (b.name,)) for b in q.arrows_in[tail]]
+        if not left_born:
+            tail = q.tail(word[-1]) if word else at
+            shifts += [((), (b.name,)) for b in q.arrows_in[tail]]
         rows += len(shifts)
         for left, right in shifts:
-            install((left + w + right, None, c) for (w, _), c in terms)
+            install(((left + w + right, None, c) for (w, _), c in terms), bool(left))
 
     pivots_at = [0] * (degree + 1)
     for lead in pivots:

@@ -249,6 +249,13 @@ class TestNormalize:
         assert code == 0
         assert "0/0 runs normalized" in out
 
+    def test_negative_count_is_an_error(self, capsys, tmp_path):
+        out = _error_report(
+            capsys, tmp_path,
+            ["normalize", "--triangulation", "genus2p:1", "--random", "-2", "--degree", "12"],
+        )
+        assert "--random needs COUNT >= 0, got -2" in out
+
     def test_explicit_potential_file(self, capsys, tmp_path, fig_tq):
         pot = Potential(fig_tq.quiver, 12, {Path(("b1", "c1", "b4", "c2")): 1})
         f = tmp_path / "u.json"
@@ -423,6 +430,7 @@ class TestJacobianDim:
             (["--table", "2", "--qp", "QP"], "--qp"),
             (["--table", "2", "--n", "2"], "--n"),
             (["--table", "2", "--qp", "QP", "--n", "2"], "--qp, --n"),
+            (["--table", "1", "--x", "1", "--certify"], "--certify"),
         ],
     )
     def test_options_the_mode_ignores_are_an_error(

@@ -3,6 +3,7 @@ reduction access.  The whole engine is checked against a brute-force
 row-elimination oracle at small degrees, and the standard dimensions are
 pinned by the golden file."""
 
+import hashlib
 import json
 import pathlib
 import random
@@ -34,12 +35,21 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "jacobian_dims.json").read_text())
 # S(τ, (1, 1)) on the two-puncture family genus2p:G, G = 1, 2, 3
 GOLDEN_2P = json.loads((GOLDEN_DIR / "jacobian_genus2p.json").read_text())
+# sha256 of the sorted pivot leads of each golden entry above, so that a
+# change to how the window is built must span the same window, not merely
+# count the same dimensions.  A separate file: the benchmark compares the
+# torus entries of jacobian_dims.json key by key with its witnesses.
+LEADS = json.loads((GOLDEN_DIR / "jacobian_leads.json").read_text())
 
 TWO_LOOPS = Quiver(["u"], [("l", "u", "u"), ("m", "u", "u")])
 
 
 def torus_qp(tq, n, degree):
     return QP(tq.quiver, potential_S(tq, 1, degree, n=n))
+
+
+def leads_sha256(quo):
+    return hashlib.sha256(json.dumps(sorted(quo._pivots)).encode()).hexdigest()
 
 
 class TestGenerators:
@@ -105,6 +115,7 @@ class TestGoldenDimensions:
         assert quo.dimension == entry["dimension"]
         assert quo.certificate_length == entry["certificate_length"]
         assert list(quo.per_degree) == entry["per_degree"]
+        assert leads_sha256(quo) == LEADS["torus"][key]
         assert sum(quo.pivots_per_length) == len(quo._pivots) <= quo.rows
 
     @pytest.mark.parametrize("genus", [1, 2, 3])
@@ -117,6 +128,7 @@ class TestGoldenDimensions:
         assert quo.dimension == entry["dimension"]
         assert quo.certificate_length == entry["certificate_length"]
         assert list(quo.per_degree) == entry["per_degree"]
+        assert leads_sha256(quo) == LEADS["genus2p"]["g=%d" % genus]
 
     def test_lower_bound_and_strict_growth(self, torus_tq):
         dims = {}

@@ -1,9 +1,14 @@
 """Rules the package's source code keeps."""
 
 import ast
+import importlib.util
 import pathlib
 
-SOURCES = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "qpsurf").glob("*.py"))
+import qpsurf
+import qpsurf.cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "qpsurf").glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -15,3 +20,21 @@ def test_no_assert_statements():
     }
     assert "cli.py" in found
     assert not any(found.values()), {name: lines for name, lines in found.items() if lines}
+
+
+def test_benchmark_tracer_finds_every_boundary():
+    # perfbench/tracer.py patches functions and methods by name; a renamed
+    # one would otherwise surface only when the benchmark itself runs.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    install, add = qpsurf.jacobian._install, qpsurf.jacobian._Kills.add
+    t = tracer.Tracer()
+    try:
+        t.install(qpsurf)
+        assert qpsurf.jacobian._install is not install
+        assert qpsurf.jacobian._Kills.add is not add
+    finally:
+        t.uninstall()
+    assert qpsurf.jacobian._install is install
+    assert qpsurf.jacobian._Kills.add is add
