@@ -424,7 +424,7 @@ def cmd_normalize(args):
 
 
 def _powers_potential(tq, degree, spec):
-    """Parse "p0:2=1,p1:3=-2" into sum of coeff * (puncture cycle)^n."""
+    """Parse "p0:2=1,p1:3=-2" into sum of coeff * (puncture cycle)^n; each pid:n once."""
     terms = {}
     for chunk in spec.split(","):
         lhs, _, rhs = chunk.partition("=")
@@ -442,7 +442,9 @@ def _powers_potential(tq, degree, spec):
                 % (chunk.strip(), n * len(word), degree)
             )
         p = Path(word * n)
-        terms[p] = terms.get(p, 0) + _fraction(rhs.strip() or "1", "--powers")
+        if p in terms:
+            raise ValueError("--powers: %s:%d is given twice" % (pid.strip(), n))
+        terms[p] = _fraction(rhs.strip() or "1", "--powers")
     return Potential(tq.quiver, degree, terms)
 
 
@@ -775,16 +777,25 @@ def _input_digest(argv, args):
 _ERRORS = (ValueError, OSError, KeyError, json.JSONDecodeError, ZeroDivisionError, RuntimeError)
 
 
+def _reject_global_options(argv):
+    """A global option left in a command line is an ERROR that names it."""
+    for arg in argv:
+        if arg in ("--report", "--recheck"):
+            raise ValueError("%s is a global option: it goes once, before the subcommand" % arg)
+
+
 def run_command(argv):
     """Run one subcommand and return its RunReport.
 
     Never raises, except that ``--help`` prints help and exits as argparse
-    does; a command line argparse rejects, such as one that names the
-    global options ``main`` reads, is an ERROR carrying its message.
+    does; a command line argparse rejects is an ERROR carrying its message,
+    and one that names the global options ``main`` reads is an ERROR that
+    names the option.
     """
     inputs = {"argv": list(argv)}
     start = time.perf_counter()
     try:
+        _reject_global_options(argv)
         args = build_parser().parse_args(argv)
         inputs = _input_digest(argv, args)
         outcome, details, witnesses, timings = _HANDLERS[args.subcommand](args)
@@ -850,6 +861,7 @@ def main(argv=None):
     if recheck_path is not None:
         try:
             if argv:
+                _reject_global_options(argv[:1])
                 raise ValueError("--recheck takes no command, got: %s" % " ".join(argv))
             report = run_recheck(recheck_path)
         except _ERRORS as exc:

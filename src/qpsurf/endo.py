@@ -13,56 +13,80 @@ from __future__ import annotations
 from fractions import Fraction
 from math import inf
 from operator import itemgetter
+from types import MappingProxyType
 
 from .path_algebra import Path, Potential, TruncatedElement, exact_coefficient
 
 
+def _checked_image(quiver, degree, name, img):
+    """``img`` truncated to ``degree``, once it passes the checks every rule image must pass."""
+    if not quiver.has_arrow(name):
+        raise ValueError("rule for unknown arrow %r" % (name,))
+    a = quiver.arrow(name)
+    if img.quiver != quiver:
+        raise ValueError("rule image lives on a different quiver")
+    if img.degree < degree:
+        raise ValueError("rule for %r is only known modulo degree %d < %d"
+                         % (name, img.degree, degree))
+    img = img.truncate(degree)
+    for p in img.terms:
+        if not p.arrows:
+            raise ValueError("rule for %r has a length-0 term: images must lie in the "
+                             "arrow ideal" % (name,))
+        if quiver.path_tail(p) != a.tail or quiver.path_head(p) != a.head:
+            raise ValueError("rule for %r contains a path with wrong endpoints: %r" % (name, p))
+    return img
+
+
+def _expansion(name, img):
+    """One rule's table entry: (unit coefficient, δ, terms as (length, word, coeff) by length).
+
+    δ is the length of the shortest term other than the arrow itself, minus
+    one (inf for a pure rescaling).
+    """
+    ordered = sorted(
+        ((len(r.arrows), r.arrows, cr) for r, cr in img.terms.items()), key=itemgetter(0)
+    )
+    unit = (name,)
+    c_id = next((cr for _, r, cr in ordered if r == unit), 0)
+    delta = next((lr - 1 for lr, r, _ in ordered if r != unit), inf)
+    return c_id, delta, ordered
+
+
 class REndomorphism:
     """A substitution rule-set ``arrow -> element`` with every image in the
-    arrow ideal (no length-0 term); missing arrows map to themselves."""
+    arrow ideal (no length-0 term); missing arrows map to themselves.
 
-    __slots__ = ("quiver", "degree", "rules")
+    ``rules`` is a read-only mapping, so the expansion table built from it
+    (one ``_expansion`` entry per rule, each built once, on first use)
+    cannot go stale.
+    """
+
+    __slots__ = ("quiver", "degree", "rules", "_table")
 
     def __init__(self, quiver, degree, rules=None):
         degree = int(degree)
         if degree < 0:
             raise ValueError("negative truncation degree")
-        self.quiver = quiver
-        self.degree = degree
-        clean = {}
-        for name, img in (rules or {}).items():
-            if not quiver.has_arrow(name):
-                raise ValueError("rule for unknown arrow %r" % (name,))
-            a = quiver.arrow(name)
-            if img.quiver != quiver:
-                raise ValueError("rule image lives on a different quiver")
-            if img.degree < degree:
-                raise ValueError(
-                    "rule for %r is only known modulo degree %d < %d"
-                    % (name, img.degree, degree)
-                )
-            img = img.truncate(degree)
-            for p in img.terms:
-                if not p.arrows:
-                    raise ValueError(
-                        "rule for %r has a length-0 term: images must lie in the "
-                        "arrow ideal" % (name,)
-                    )
-                if quiver.path_tail(p) != a.tail or quiver.path_head(p) != a.head:
-                    raise ValueError(
-                        "rule for %r contains a path with wrong endpoints: %r" % (name, p)
-                    )
-            if self._is_identity_image(name, img):
-                continue
-            clean[name] = img
-        self.rules = clean
+        self._adopt(quiver, degree, {name: _checked_image(quiver, degree, name, img)
+                                     for name, img in (rules or {}).items()}, {})
 
-    @staticmethod
-    def _is_identity_image(name, img):
-        if len(img.terms) != 1:
-            return False
-        (p, c), = img.terms.items()
-        return p.arrows == (name,) and c == 1
+    def _adopt(self, quiver, degree, images, table):
+        """Keep the checked images other than the bare arrow, and the table entries built so far."""
+        self.quiver, self.degree = quiver, degree
+        self.rules = MappingProxyType({
+            name: img for name, img in images.items()
+            if len(img.terms) != 1 or img.terms.get(Path((name,))) != 1
+        })
+        self._table = table
+
+    def _expansions(self):
+        """The expansion table, completed on first use: an endomorphism that
+        is never applied, nor the outer side of ``compose``, never needs it."""
+        table = self._table
+        for name in self.rules.keys() - table.keys():
+            table[name] = _expansion(name, self.rules[name])
+        return table
 
     @classmethod
     def identity(cls, quiver, degree):
@@ -85,17 +109,23 @@ class REndomorphism:
 
         Every rule image lies in the arrow ideal (checked on construction),
         so each arrow of a term contributes length at least one and the
-        output is well defined modulo the truncation.  One loop walks each
-        term's word in two steps.  Branch step: an arrow whose shortest
-        correction (image term other than the arrow, δ = its length − 1)
-        fits the term's slack below the degree expands into its image, held
-        for the call as ``(length, word, coeff)`` ordered by length, up to
-        the room the remaining arrows leave; that room bound is the only
-        length limit needed.  Run step: a maximal run of arrows that cannot
-        branch (no rule, or δ too large, δ = inf for a pure rescaling) is
-        appended whole and scaled once by the product of the run's own
-        arrow coefficients.  Output coefficients are stored as the
-        constructor stores them (``exact_coefficient``: int when integral).
+        output is well defined modulo the truncation.  The expansion table
+        holds each image as ``(length, word, coeff)`` ordered by length,
+        with its unit coefficient (of the arrow itself) and δ (the shortest
+        other term's length − 1, inf for a pure rescaling).
+
+        A term whose slack below the degree is smaller than every δ is
+        copied straight through, times the unit coefficients of its arrows
+        (dropped if one is 0): replacing any arrow by a non-unit term would
+        add more than the slack, so only the unit terms survive.  Any other
+        term is walked in two steps.  Branch step: an arrow whose δ fits the
+        slack expands into its image, up to the room the remaining arrows
+        leave; that room bound is the only length limit needed.  Run step:
+        a maximal run of arrows that cannot branch is appended whole and
+        scaled once by the product of its unit coefficients.  A product
+        with a factor 1 is not formed.  Output coefficients are stored as
+        the constructor stores them (``exact_coefficient``: int when
+        integral).
 
         A potential's output terms are cycles by construction (every rule
         image has its arrow's endpoints), so they are only re-canonicalized,
@@ -105,16 +135,9 @@ class REndomorphism:
             out = self.apply(x.as_element())
             return Potential(out.quiver, out.degree, out.terms, validate=False)
         d = min(self.degree, x.degree)
-        info = {}
-        for name, img in self.rules.items():
-            ordered = sorted(
-                ((len(r.arrows), r.arrows, cr) for r, cr in img.terms.items()),
-                key=itemgetter(0),
-            )
-            unit = (name,)
-            c_id = next((cr for _, r, cr in ordered if r == unit), 0)
-            delta = next((lr - 1 for lr, r, _ in ordered if r != unit), inf)
-            info[name] = (c_id, delta, ordered)
+        info = self._expansions()
+        reach = min((e[1] for e in info.values()), default=inf)
+        scales = {name: e[0] for name, e in info.items() if e[0] != 1}
         out = {}
         for p, c in x.terms.items():
             word = p.arrows
@@ -122,72 +145,73 @@ class REndomorphism:
             if n > d:
                 continue
             slack = d - n
-            acc = {(): c}
-            i = 0
-            while i < n and acc:
-                e = info.get(word[i])
-                if e is not None and e[1] <= slack:
-                    i += 1
-                    nxt = {}
-                    for w, cw in acc.items():
-                        room = d - len(w) - (n - i)
-                        for lr, r, cr in e[2]:
-                            if lr > room:
-                                break
-                            ext = w + r
-                            s = nxt.get(ext)
-                            if s is None:
-                                nxt[ext] = cw * cr
-                            else:
-                                s += cw * cr
-                                if s == 0:
+            if slack < reach:
+                for a in word if scales else ():
+                    if a in scales:
+                        c *= scales[a]
+                if c == 0:
+                    continue
+                acc = ((word, c),)
+            else:
+                acc = {(): c}
+                i = 0
+                while i < n and acc:
+                    e = info.get(word[i])
+                    if e is not None and e[1] <= slack:
+                        i += 1
+                        nxt = {}
+                        for w, cw in acc.items():
+                            room = d - len(w) - (n - i)
+                            one = cw == 1
+                            for lr, r, cr in e[2]:
+                                if lr > room:
+                                    break
+                                ext = w + r
+                                t = cr if one else cw if cr == 1 else cw * cr
+                                s = nxt.get(ext)
+                                if s is None:
+                                    nxt[ext] = t
+                                elif (s := s + t) == 0:
                                     del nxt[ext]
                                 else:
                                     nxt[ext] = s
-                    acc = nxt
-                    continue
-                scale = 1
-                j = i
-                while j < n:
-                    e = info.get(word[j])
-                    if e is not None:
-                        if e[1] <= slack:
-                            break
-                        if e[0] != 1:
-                            scale *= e[0]
-                    j += 1
-                run = word[i:j]
-                i = j
-                if scale == 0:
-                    acc = {}
-                elif scale == 1:
-                    acc = {w + run: cw for w, cw in acc.items()}
-                else:
-                    acc = {w + run: cw * scale for w, cw in acc.items()}
-            for w, cw in acc.items():
-                key = Path(w) if w else p
+                        acc = nxt
+                        continue
+                    scale = 1
+                    j = i
+                    while j < n:
+                        e = info.get(word[j])
+                        if e is not None:
+                            if e[1] <= slack:
+                                break
+                            if e[0] != 1:
+                                scale *= e[0]
+                        j += 1
+                    run = word[i:j]
+                    i = j
+                    acc = {w + run: cw if scale == 1 else cw * scale
+                           for w, cw in acc.items()} if scale != 0 else {}
+                acc = acc.items()
+            for w, cw in acc:
+                key = p if w == word else Path(w)
                 s = out.get(key)
                 if s is None:
                     out[key] = exact_coefficient(cw)
+                elif (s := s + cw) == 0:
+                    del out[key]
                 else:
-                    s += cw
-                    if s == 0:
-                        del out[key]
-                    else:
-                        out[key] = exact_coefficient(s)
+                    out[key] = exact_coefficient(s)
         return TruncatedElement._raw(self.quiver, d, out)
 
     # -- invariants ----------------------------------------------------
 
     def depth(self):
-        """min over arrows of short(image − arrow) − 1; +inf for the identity."""
-        best = inf
-        for name, img in self.rules.items():
-            diff = img - TruncatedElement.from_arrow(self.quiver, self.degree, name)
-            s = diff.short
-            if s - 1 < best:
-                best = s - 1
-        return best
+        """min over arrows of short(image − arrow) − 1; +inf for the identity.
+
+        Read off the table: image − arrow starts at length δ + 1 when the
+        unit coefficient is 1, and at the arrow itself (length 1) otherwise.
+        """
+        return min((e[1] if e[0] == 1 else 0 for e in self._expansions().values()), default=inf)
 
     def is_unitriangular(self):
         return self.depth() >= 1
@@ -266,15 +290,33 @@ def _rank(mat):
 
 
 def compose(outer, inner):
-    """The composite outer ∘ inner (inner substitutes first)."""
+    """The composite outer ∘ inner (inner substitutes first).
+
+    An arrow that ``inner`` leaves alone goes to outer's image of it,
+    truncated to the composite's degree.  That image is reused as it is,
+    with its table entry when the degree stays the same: it passed the
+    constructor's checks when ``outer`` was built, and truncating keeps
+    them.  Only inner's own images go through ``outer.apply``; those new
+    images get the constructor's checks (endpoints, no length-0 term), and
+    identity images are dropped.  The result is exact modulo the
+    truncation because every rule image lies in the arrow ideal: a
+    substituted word never gets shorter, so truncating inner's images
+    first drops nothing the composite would keep.
+    """
     if outer.quiver != inner.quiver:
         raise ValueError("endomorphisms live on different quivers")
     d = min(outer.degree, inner.degree)
-    rules = {}
-    for a in outer.quiver.arrows:
-        if a.name in inner.rules or a.name in outer.rules:
-            rules[a.name] = outer.apply(inner.rule(a.name)).truncate(d)
-    return REndomorphism(outer.quiver, d, rules)
+    images = {name: _checked_image(outer.quiver, d, name, outer.apply(img))
+              for name, img in inner.rules.items()}
+    table = {}
+    for name, img in outer.rules.items():
+        if name not in images:
+            images[name] = img.truncate(d)
+            if d == outer.degree and name in outer._table:
+                table[name] = outer._table[name]
+    out = REndomorphism.__new__(REndomorphism)
+    out._adopt(outer.quiver, d, images, table)
+    return out
 
 
 def invert_unitriangular(phi):
@@ -309,22 +351,23 @@ def invert_unitriangular(phi):
 def compose_all(factors, quiver, degree):
     """Compose a list of substitutions, latest applied last (...∘φ2∘φ1).
 
-    Folds pairwise in a balanced tree.  Composition is exactly associative
-    modulo the truncation because every rule image lies in the arrow ideal
-    (checked by ``REndomorphism``), so the result is the same as a left
-    fold, but the big late-stage composites are rebuilt O(log n) times
-    instead of O(n).
+    A right fold from the outermost factor: ψ starts as the last factor
+    and becomes ψ ∘ φ_k for k from the second-to-last back to the first.
+    Each step pushes only φ_k's own images (usually one short image)
+    through ψ and keeps ψ's other images as they are (see ``compose``),
+    so every image of the composite is built once.  The order of the fold
+    does not change the result: every rule image lies in the arrow ideal
+    (checked by ``REndomorphism``), so a substituted word never gets
+    shorter, truncating an intermediate drops nothing the composite would
+    keep, and composition is exactly associative modulo the truncation.
     """
-    layer = list(factors)
-    if not layer:
+    factors = list(factors)
+    if not factors:
         return REndomorphism.identity(quiver, degree)
-    while len(layer) > 1:
-        nxt = [
-            compose(layer[i + 1], layer[i]) if i + 1 < len(layer) else layer[i]
-            for i in range(0, len(layer), 2)
-        ]
-        layer = nxt
-    return layer[0]
+    psi = factors[-1]
+    for phi in reversed(factors[:-1]):
+        psi = compose(psi, phi)
+    return psi
 
 
 def limit_compose(factors, quiver, degree):

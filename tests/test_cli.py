@@ -309,7 +309,7 @@ class TestAbsorb:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("powers", ["p0:2=0", "p0:2=1,p0:2=-1"])
+    @pytest.mark.parametrize("powers", ["p0:2=0"])
     def test_zero_v_is_absorbed_by_the_identity(self, capsys, powers):
         code, out = run(
             capsys, "absorb", "--triangulation", "genus2p:1",
@@ -337,6 +337,22 @@ class TestAbsorb:
         )
         assert code == 2
         assert message in out
+
+    def test_repeated_power_is_an_error(self, capsys):
+        # summing the two terms would turn V into 0 and PASS on an input
+        # nobody meant; the repeated term is named instead
+        code, out = run(
+            capsys, "absorb", "--triangulation", "genus2p:1",
+            "--x", "1,1", "--powers", "p0:2=1,p0:2=-1", "--degree", "20",
+        )
+        assert code == 2
+        assert "ERROR: --powers: p0:2 is given twice" in out
+        code, out = run(
+            capsys, "absorb", "--triangulation", "genus2p:1",
+            "--x", "1,1", "--powers", "p1:2=1,p0:2=1, p1:02=3", "--degree", "20",
+        )
+        assert code == 2
+        assert "ERROR: --powers: p1:2 is given twice" in out
 
     def test_blank_coefficient_means_one(self, fig_tq):
         blank = cli._powers_potential(fig_tq, 20, "p0:2= ,p1:3=")
@@ -522,6 +538,10 @@ class TestGlobalOptions:
     def test_run_command_rejects_them(self, argv):
         report = cli.run_command(argv)
         assert report.outcome == "ERROR"
+        option = next(a for a in argv if a.startswith("--"))
+        assert report.details == [
+            "ERROR: %s is a global option: it goes once, before the subcommand" % option
+        ]
 
     def test_recheck_takes_no_command(self, capsys, tmp_path):
         rpt = tmp_path / "build.json"
@@ -534,17 +554,25 @@ class TestGlobalOptions:
         rpt = tmp_path / "build.json"
         code, out = run(capsys, "build", "torus", "--report", str(rpt))
         assert code == 2
-        assert "unrecognized arguments: --report %s\n" % rpt in out
+        assert "ERROR: --report is a global option: it goes once, before the subcommand\n" in out
         assert not rpt.exists()
 
     def test_given_twice(self, capsys, tmp_path):
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         code, out = run(capsys, "--report", str(first), "--report", str(second), "build", "torus")
-        # the second --report is left for the parser, which rejects it
+        # main takes the first --report; the second is named, not its file
         assert code == 2
-        assert "invalid choice: %r" % str(second) in out
+        assert "ERROR: --report is a global option: it goes once, before the subcommand\n" in out
+        assert str(second) not in out
         assert json.loads(first.read_text())["outcome"] == "ERROR"
         assert not second.exists()
+
+    def test_recheck_given_twice(self, capsys, tmp_path):
+        rpt = tmp_path / "build.json"
+        run(capsys, "--report", str(rpt), "build", "torus")
+        code, out = run(capsys, "--recheck", str(rpt), "--recheck", str(rpt))
+        assert code == 2
+        assert "ERROR: --recheck is a global option: it goes once, before the subcommand\n" in out
 
     def test_help_lists_them(self, capsys):
         with pytest.raises(SystemExit) as exc:

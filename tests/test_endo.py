@@ -255,6 +255,157 @@ class TestComposition:
             )
 
 
+RESCALINGS = (2, -1, 3, Fraction(1, 2), Fraction(-1, 3), 0)
+
+
+def random_factor(q, d, kind, rng):
+    """One factor of a kind: a random unitriangular substitution, a rescaling
+    of one arrow by an int or a Fraction, or a rule with no unit term."""
+    if kind == "unitriangular":
+        return oracles.random_unitriangular(q, d, rng)
+    name = rng.choice([a.name for a in q.arrows])
+    if kind == "rescaling":
+        return REndomorphism(q, d, {name: arrow_el(q, d, name, rng.choice(RESCALINGS))})
+    return REndomorphism(q, d, {name: every_length_image(q, d, name, 0, rng)})
+
+
+def naive_chain(factors, x):
+    """x pushed through the factors one at a time by the reference apply."""
+    words = oracles.element_words(x)
+    for f in factors:
+        el = TruncatedElement(x.quiver, x.degree, {Path(w): c for w, c in words.items()})
+        words = oracles.naive_apply(f, el)
+    return words
+
+
+class TestRightFold:
+    """compose_all folds from the outermost factor and reuses untouched images."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        which=st.sampled_from(["fig", "torus"]),
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(
+            st.sampled_from(["unitriangular", "rescaling", "no unit term"]),
+            min_size=1, max_size=8,
+        ),
+        degree=st.integers(3, 7),
+    )
+    def test_equals_the_left_fold_and_the_reference(
+        self, fig_tq, torus_tq, which, seed, kinds, degree
+    ):
+        q = {"fig": fig_tq.quiver, "torus": torus_tq.quiver}[which]
+        rng = random.Random(seed)
+        # factors may be known to a higher degree than the composite keeps
+        factors = [random_factor(q, degree + rng.randint(0, 2), kind, rng) for kind in kinds]
+        nested = factors[0]
+        for phi in factors[1:]:
+            nested = compose(phi, nested)
+        psi = compose_all(factors, q, degree)
+        assert psi == nested
+        assert psi.degree == min(f.degree for f in factors)
+        assert psi.depth() == nested.depth()
+        x = oracles.random_element(q, degree, rng, nterms=5)
+        assert oracles.element_words(psi.apply(x)) == naive_chain(factors, x)
+        pot = oracles.random_potential(q, degree, rng, nterms=3)
+        want = naive_chain(factors, pot.as_element())
+        assert psi.apply(pot) == Potential(q, degree, {Path(w): c for w, c in want.items()})
+
+    def test_untouched_images_are_reused(self, torus_tq):
+        q = torus_tq.quiver
+        rng = random.Random(512)
+        for d_outer in (8, 10):
+            outer = oracles.random_unitriangular(q, d_outer, rng, nrules=5, max_len=9)
+            inner = REndomorphism(q, 8, {"a1": arrow_el(q, 8, "a1", 2)})
+            out = compose(outer, inner)
+            for name, img in outer.rules.items():
+                if name != "a1" and d_outer == 8:
+                    assert out.rules[name] is img
+            # the definition: outer applied to inner's image of every arrow
+            assert out == REndomorphism(q, 8, {
+                a.name: outer.apply(inner.rule(a.name)) for a in q.arrows
+            })
+            assert out.depth() == 0
+        # an outer image whose correction lies beyond the composite's degree
+        # truncates to the bare arrow and goes, with everything known about it
+        w = max(oracles.parallel_words(q, "a1", 10), key=len)
+        outer = REndomorphism(q, 10, {"a1": arrow_el(q, 10, "a1")
+                                      + TruncatedElement.from_path(q, 10, Path(w), 1)})
+        assert outer.depth() == len(w) - 1 > 8
+        out = compose(outer, REndomorphism.identity(q, 8))
+        assert out.is_identity and out.depth() == float("inf")
+
+    def test_new_images_are_checked(self, torus_tq):
+        # an inner image that is not parallel to its arrow stays an error
+        # however the composite is built: compose still checks endpoints
+        q = torus_tq.quiver
+        outer = REndomorphism.identity(q, 8)
+        inner = REndomorphism.__new__(REndomorphism)
+        inner._adopt(q, 8, {"a1": arrow_el(q, 8, "b1")}, {})
+        with pytest.raises(ValueError, match="wrong endpoints"):
+            compose(outer, inner)
+
+    def test_short_terms_pass_through_scaled(self, torus_tq):
+        # a1 -> 2·a1, a2 -> -1/3·a2 and b1 -> (no unit term), each plus a
+        # correction of length 7 (δ = 6); at D = 9 a term of length ≥ 4 has
+        # slack < 6 and comes back as itself times its arrows' unit
+        # coefficients, or not at all when one of them is 0
+        q = torus_tq.quiver
+        d = 9
+        rules = {}
+        for name, unit in (("a1", 2), ("a2", Fraction(-1, 3)), ("b1", 0)):
+            long = next(w for w in oracles.parallel_words(q, name, 7) if len(w) == 7)
+            rules[name] = TruncatedElement(q, d, {Path((name,)): unit, Path(long): 1})
+        phi = REndomorphism(q, d, rules)
+        assert phi.depth() == 0
+        units = {"a1": 2, "a2": Fraction(-1, 3), "b1": 0}
+        rng = random.Random(513)
+        seen = set()
+        for _ in range(200):
+            x = oracles.random_element(q, d, rng, nterms=1)
+            (p, c), = x.terms.items()
+            if len(p) < 4:
+                continue
+            want = c
+            for name in p.arrows:
+                want *= units.get(name, 1)
+            got = phi.apply(x).terms
+            assert got == ({p: want} if want else {})
+            assert oracles.element_words(phi.apply(x)) == oracles.naive_apply(phi, x)
+            seen.update(name for name in p.arrows if name in units)
+            seen.add("drop" if not want else "keep")
+        assert seen == {"a1", "a2", "b1", "drop", "keep"}
+
+
+class TestReadOnlyRules:
+    def test_assigning_a_rule_raises(self, torus_tq):
+        q = torus_tq.quiver
+        phi = REndomorphism(q, 8, {"a1": arrow_el(q, 8, "a1", 2)})
+        with pytest.raises(TypeError):
+            phi.rules["a2"] = arrow_el(q, 8, "a2", 3)
+        with pytest.raises(TypeError):
+            phi.rules["a1"] = arrow_el(q, 8, "a1")
+        with pytest.raises(TypeError):
+            del phi.rules["a1"]
+        assert dict(phi.rules) == {"a1": arrow_el(q, 8, "a1", 2)}
+        assert phi.depth() == 0
+
+    def test_equality_and_json_round_trip_are_unchanged(self, fig_tq):
+        q = fig_tq.quiver
+        rng = random.Random(514)
+        for _ in range(10):
+            f = oracles.random_unitriangular(q, 9, rng, nrules=4)
+            g = oracles.random_unitriangular(q, 9, rng, nrules=4)
+            for phi in (f, compose(f, g)):
+                again = REndomorphism(q, 9, dict(phi.rules))
+                assert again == phi and phi == again
+                data = phi.to_json_dict()
+                back = REndomorphism.from_json_dict(q, data)
+                assert back == phi
+                assert back.to_json_dict() == data
+            assert (f == g) == (dict(f.rules) == dict(g.rules))
+
+
 class TestDepthAndInversion:
     def test_depth_of_identity_is_infinite(self, torus_tq):
         assert REndomorphism.identity(torus_tq.quiver, 8).depth() == float("inf")

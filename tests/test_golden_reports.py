@@ -14,13 +14,21 @@ expansion loop over images in the arrow ideal.  ``--recheck`` re-runs its
 command and compares outcome and witnesses, so a change that alters any
 witness fails here.  Stored commands name input files relative to the
 repository root (``golden/inputs``), so the recheck runs there.
+
+``golden/absorb_endo_digests.json`` pins the sha256 of the absorption
+witness (the composite endomorphism, as its report stores it) for hub²,
+rim² and rim² + c·hub³ on genus2p:1 at D = 32, computed before
+``compose_all`` became a right fold that reuses untouched rule images, so a
+change to how the composite is built must reproduce it bit for bit.
 """
 
+import hashlib
+import json
 import pathlib
 
 import pytest
 
-from qpsurf.cli import run_recheck
+from qpsurf.cli import run_command, run_recheck
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 REPORTS = sorted((pathlib.Path(__file__).parent / "golden" / "reports").glob("*.json"))
@@ -39,3 +47,17 @@ def test_recheck_reproduces_the_stored_report(path, monkeypatch):
     report = run_recheck(str(path))
     assert report.outcome == "PASS", report.details
     assert report.witnesses["fresh_outcome"] == "PASS"
+
+
+ABSORB_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "absorb_endo_digests.json").read_text()
+)
+
+
+@pytest.mark.parametrize("label", sorted(ABSORB_DIGESTS))
+def test_absorption_witness_digest(label):
+    entry = ABSORB_DIGESTS[label]
+    report = run_command(entry["argv"])
+    assert report.outcome == "PASS", report.details
+    endo = json.dumps(report.witnesses["endo"], sort_keys=True).encode()
+    assert hashlib.sha256(endo).hexdigest() == entry["endo_sha256"]
