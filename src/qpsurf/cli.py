@@ -370,7 +370,7 @@ def cmd_verify_flip(args):
         "degree": report.degree,
         "checks": [[name, ok, detail] for name, ok, detail in report.checks],
         "renaming": dict(report.renaming),
-        "phi": report.phi.to_json_dict(),
+        "factors": [f.to_json_dict() for f in report.factors],
         "first_difference": report.first_difference,
     }
     return ("PASS" if report.ok else "FAIL"), details, witnesses, timings

@@ -38,6 +38,14 @@ def _checked_image(quiver, degree, name, img):
     return img
 
 
+def _read_only(img, copy):
+    """``img`` with read-only terms: a copy's if ``copy``, else its own, which no one else holds."""
+    if copy or type(img.terms) is not MappingProxyType:
+        terms = dict(img.terms) if copy else img.terms
+        img = img._raw(img.quiver, img.degree, MappingProxyType(terms))
+    return img
+
+
 def _expansion(name, img):
     """One rule's table entry: (unit coefficient, δ, terms as (length, word, coeff) by length).
 
@@ -57,9 +65,9 @@ class REndomorphism:
     """A substitution rule-set ``arrow -> element`` with every image in the
     arrow ideal (no length-0 term); missing arrows map to themselves.
 
-    ``rules`` is a read-only mapping, so the expansion table built from it
-    (one ``_expansion`` entry per rule, each built once, on first use)
-    cannot go stale.
+    ``rules`` and its images' terms are read-only, the caller's images
+    copied, so the expansion table built from them (one ``_expansion``
+    entry per rule, each built once, on first use) cannot go stale.
     """
 
     __slots__ = ("quiver", "degree", "rules", "_table")
@@ -69,13 +77,13 @@ class REndomorphism:
         if degree < 0:
             raise ValueError("negative truncation degree")
         self._adopt(quiver, degree, {name: _checked_image(quiver, degree, name, img)
-                                     for name, img in (rules or {}).items()}, {})
+                                     for name, img in (rules or {}).items()}, {}, copy=True)
 
-    def _adopt(self, quiver, degree, images, table):
-        """Keep the checked images other than the bare arrow, and the table entries built so far."""
+    def _adopt(self, quiver, degree, images, table, copy=False):
+        """Keep the checked non-identity images, read-only, and the table built so far."""
         self.quiver, self.degree = quiver, degree
         self.rules = MappingProxyType({
-            name: img for name, img in images.items()
+            name: _read_only(img, copy) for name, img in images.items()
             if len(img.terms) != 1 or img.terms.get(Path((name,))) != 1
         })
         self._table = table

@@ -59,17 +59,12 @@ class SplitPotential:
 
 def split(tq, pot):
     _require_conditions(tq)
-    q = tq.quiver
     buckets = {"F": {}, "G": {}, "FG": {}}
     for p, c in pot.terms.items():
         cls = classify_cycle(tq, p)
         buckets[cls.kind][p] = c
-    d = pot.degree
-    return SplitPotential(
-        Potential(q, d, buckets["F"], validate=False),
-        Potential(q, d, buckets["G"], validate=False),
-        Potential(q, d, buckets["FG"], validate=False),
-    )
+    # a potential's keys are canonical and the buckets are disjoint
+    return SplitPotential(*(Potential._raw(tq.quiver, pot.degree, t) for t in buckets.values()))
 
 
 def _triangle_cycles(tq):

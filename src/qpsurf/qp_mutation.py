@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .endo import REndomorphism, compose, compose_all
+from .endo import REndomorphism, compose
 from .path_algebra import (
     Arrow,
     Path,
@@ -361,7 +361,7 @@ class FlipReport:
     checks: tuple
     first_difference: object
     renaming: dict
-    phi: REndomorphism
+    factors: tuple
     premutated: QP
     reduction: ReductionWitness
     transported: Potential
@@ -415,10 +415,10 @@ def verify_flip_compatibility(tau, k, x, n, degree=None, perturb=None):
     exactly with the flipped potential at the same truncation.  The
     potential is S(τ, x, n) on a once-punctured surface; ``degree=None``
     takes its default degree, which the report records.  The report's
-    ``phi`` is the composite φ4∘φ3∘φ2∘φ1, which carries the premutated
-    potential to what the reduction consumed.  ``perturb``, a coefficient,
-    is added to the flipped triangle 0's cycle on the expected side, for
-    negative controls.
+    ``factors``, (φ1, φ2, φ3, φ4) in the order applied, compose to the map
+    carrying the premutated potential to what the reduction consumed.
+    ``perturb``, a coefficient, is added to the flipped triangle 0's cycle
+    on the expected side, for negative controls.
     """
     checks = []
     tq1 = build_quiver(tau)
@@ -468,17 +468,13 @@ def verify_flip_compatibility(tau, k, x, n, degree=None, perturb=None):
     phi3 = REndomorphism(new_q, d, {a2: a2_el - c2s_b2s})
     corr4 = _flip_correction(b_el * c1s_b1s * a_el, a2_el - c2s_b2s, c2s_b2s, n, xq, n)
     phi4 = REndomorphism(new_q, d, {"[%s%s]" % (b2, c2): e("[%s%s]" % (b2, c2)) - corr4})
-    factors = [phi1, phi2, phi3, phi4]
-    phi = compose_all(factors, new_q, d)
+    factors = (phi1, phi2, phi3, phi4)
 
-    # Transport the potential through one factor at a time rather than
-    # through the composite: (φ4∘φ3∘φ2∘φ1)(W) = φ4(φ3(φ2(φ1(W)))) exactly
-    # modulo D, because every rule image lies in the arrow ideal
-    # (REndomorphism rejects a length-0 term), so a product of images never
-    # gets shorter than the word it replaces and truncating between factors
-    # drops nothing the composite would keep.  Each intermediate potential
-    # stays small, while the composite's rule images run to thousands of
-    # terms.
+    # Transport the potential one factor at a time and never build the
+    # composite, whose rule images run to thousands of terms:
+    # (φ4∘φ3∘φ2∘φ1)(W) = φ4(φ3(φ2(φ1(W)))) exactly modulo D, because every
+    # rule image lies in the arrow ideal (REndomorphism rejects a length-0
+    # term), so truncating between factors drops nothing the composite keeps.
     transformed = pre.potential
     for factor in factors:
         transformed = factor.apply(transformed)
@@ -559,7 +555,7 @@ def verify_flip_compatibility(tau, k, x, n, degree=None, perturb=None):
         checks=tuple(checks),
         first_difference=first_diff,
         renaming=renaming,
-        phi=phi,
+        factors=factors,
         premutated=pre,
         reduction=rwitness,
         transported=transported,

@@ -390,6 +390,28 @@ class TestReadOnlyRules:
         assert dict(phi.rules) == {"a1": arrow_el(q, 8, "a1", 2)}
         assert phi.depth() == 0
 
+    def test_changing_the_callers_image_leaves_the_rule_alone(self, torus_tq):
+        q = torus_tq.quiver
+        img = arrow_el(q, 8, "a1", 2)
+        phi = REndomorphism(q, 8, {"a1": img})
+        img.terms[Path(("a1",))] = 5
+        assert phi.rules["a1"] == arrow_el(q, 8, "a1", 2)
+        x = arrow_el(q, 8, "a1")
+        assert phi.apply(x) == arrow_el(q, 8, "a1", 2)
+
+    @pytest.mark.parametrize("built", ["constructor", "compose"])
+    def test_rule_image_terms_are_read_only(self, torus_tq, built):
+        q = torus_tq.quiver
+        phi = REndomorphism(q, 8, {"a1": arrow_el(q, 8, "a1", 2)})
+        if built == "compose":
+            phi = compose(phi, REndomorphism(q, 8, {"a1": arrow_el(q, 8, "a1", 3)}))
+        before = dict(phi.rules["a1"].terms)
+        with pytest.raises(TypeError):
+            phi.rules["a1"].terms[Path(("a1",))] = 7
+        assert dict(phi.rules["a1"].terms) == before
+        x = arrow_el(q, 8, "a1")
+        assert phi.apply(x) == arrow_el(q, 8, "a1", before[Path(("a1",))])
+
     def test_equality_and_json_round_trip_are_unchanged(self, fig_tq):
         q = fig_tq.quiver
         rng = random.Random(514)

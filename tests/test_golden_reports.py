@@ -15,20 +15,37 @@ command and compares outcome and witnesses, so a change that alters any
 witness fails here.  Stored commands name input files relative to the
 repository root (``golden/inputs``), so the recheck runs there.
 
+The verify-flip report was rewritten when its witness became the four
+factors (φ1, φ2, φ3, φ4) in place of their composite ``phi``; no other key
+of it changed.  The report as it was, with ``phi``, is kept as
+``golden/inputs/verify_flip_torus_arc2_n2.json``: its ``--recheck`` must end
+in a FAIL naming the two witness keys, not in a traceback.
+
 ``golden/absorb_endo_digests.json`` pins the sha256 of the absorption
 witness (the composite endomorphism, as its report stores it) for hub²,
 rim² and rim² + c·hub³ on genus2p:1 at D = 32, computed before
 ``compose_all`` became a right fold that reuses untouched rule images, so a
 change to how the composite is built must reproduce it bit for bit.
+
+``golden/flip_phi_digests.json`` pins the sha256 of the flip composite
+φ4∘φ3∘φ2∘φ1 (as the report stored it under ``phi``) for torus arcs 1-3,
+n = 1..3 and x in {1, -1/3}, and of the old report's ``phi``, computed
+while the report still stored the composite.  Composing the factors that
+``verify_flip_compatibility`` and the stored report now carry must
+reproduce each bit for bit.
 """
 
 import hashlib
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
-from qpsurf.cli import run_command, run_recheck
+from qpsurf.cli import main, run_command, run_recheck
+from qpsurf.endo import REndomorphism, compose_all
+from qpsurf.qp_mutation import verify_flip_compatibility
+from qpsurf.surface import once_punctured_torus
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 REPORTS = sorted((pathlib.Path(__file__).parent / "golden" / "reports").glob("*.json"))
@@ -61,3 +78,48 @@ def test_absorption_witness_digest(label):
     assert report.outcome == "PASS", report.details
     endo = json.dumps(report.witnesses["endo"], sort_keys=True).encode()
     assert hashlib.sha256(endo).hexdigest() == entry["endo_sha256"]
+
+
+def _sha256(data):
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+FLIP_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "flip_phi_digests.json").read_text()
+)
+
+
+@pytest.mark.parametrize("label", sorted(FLIP_DIGESTS["composite_sha256"]))
+def test_flip_factors_compose_to_the_old_composite(label):
+    arc, n, x = (part.split("=")[1] for part in label.split())
+    report = verify_flip_compatibility(once_punctured_torus(), int(arc), Fraction(x), int(n))
+    assert report.ok
+    assert len(report.factors) == 4
+    phi = compose_all(report.factors, report.premutated.quiver, report.degree)
+    assert _sha256(phi.to_json_dict()) == FLIP_DIGESTS["composite_sha256"][label]
+
+
+def test_stored_flip_factors_compose_to_the_old_reports_phi():
+    old = json.loads((REPO_ROOT / FLIP_DIGESTS["stored_report"]["path"]).read_text())
+    new = json.loads((REPO_ROOT / "tests/golden/reports/verify_flip_torus_arc2_n2.json").read_text())
+    want = FLIP_DIGESTS["stored_report"]["phi_sha256"]
+    assert _sha256(old["witnesses"]["phi"]) == want
+    old_w, new_w = old["witnesses"], new["witnesses"]
+    assert {k: v for k, v in old_w.items() if k != "phi"} == {
+        k: v for k, v in new_w.items() if k != "factors"}
+    tau = once_punctured_torus()
+    assert new_w["triangulation"] == tau.to_json_dict()
+    report = verify_flip_compatibility(tau, new_w["arc"], Fraction(new_w["x"]), new_w["n"])
+    q = report.premutated.quiver
+    factors = [REndomorphism.from_json_dict(q, data) for data in new_w["factors"]]
+    assert factors == list(report.factors)
+    assert _sha256(compose_all(factors, q, new_w["degree"]).to_json_dict()) == want
+
+
+def test_old_format_flip_report_rechecks_to_a_fail(monkeypatch, capsys):
+    monkeypatch.chdir(REPO_ROOT)
+    code = main(["--recheck", FLIP_DIGESTS["stored_report"]["path"]])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL witnesses diverge at: factors, phi" in out
+    assert out.rstrip().endswith("OUTCOME: FAIL")

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from qpsurf.endo import compose_all
 from qpsurf.path_algebra import (
     Path,
     Potential,
@@ -224,9 +225,9 @@ class TestFlipCompatibility:
 
 
 class TestFlipWitness:
-    """The report's composite ``phi`` still carries the premutated potential
-    to what the reduction consumed, although the check itself transports
-    the potential one factor at a time."""
+    """The report's factors φ1, …, φ4, applied in turn, carry the premutated
+    potential to what the reduction consumed, and so does their composite,
+    which the check itself never builds."""
 
     @pytest.mark.parametrize("x", [Fraction(1), Fraction(-1, 3)])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -237,5 +238,10 @@ class TestFlipWitness:
             assert report.ok
             assert report.degree == 12 * n + 6
             pre = report.premutated
-            carried = QP(pre.quiver, report.phi.apply(pre.potential))
-            assert report.reduction.recheck(carried)
+            assert [f.quiver for f in report.factors] == [pre.quiver] * 4
+            pot = pre.potential
+            for factor in report.factors:
+                pot = factor.apply(pot)
+            assert report.reduction.recheck(QP(pre.quiver, pot))
+            phi = compose_all(report.factors, pre.quiver, report.degree)
+            assert phi.apply(pre.potential) == pot
