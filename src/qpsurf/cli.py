@@ -424,7 +424,7 @@ def cmd_normalize(args):
 
 
 def _powers_potential(tq, degree, spec):
-    """Parse "p0:2=1,p1:3=-2" into sum of coeff * (puncture cycle)^n; each pid:n once."""
+    """Parse "p0:2=1,p1:3=-2" into sum of coeff * (puncture cycle)^n; each pid:n once, nonzero."""
     terms = {}
     for chunk in spec.split(","):
         lhs, _, rhs = chunk.partition("=")
@@ -444,7 +444,10 @@ def _powers_potential(tq, degree, spec):
         p = Path(word * n)
         if p in terms:
             raise ValueError("--powers: %s:%d is given twice" % (pid.strip(), n))
-        terms[p] = _fraction(rhs.strip() or "1", "--powers")
+        c = _fraction(rhs.strip() or "1", "--powers")
+        if c == 0:
+            raise ValueError("--powers: %s:%d has coefficient 0" % (pid.strip(), n))
+        terms[p] = c
     return Potential(tq.quiver, degree, terms)
 
 

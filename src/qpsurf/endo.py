@@ -15,7 +15,13 @@ from math import inf
 from operator import itemgetter
 from types import MappingProxyType
 
-from .path_algebra import Path, Potential, TruncatedElement, exact_coefficient
+from .path_algebra import (
+    Path,
+    Potential,
+    TruncatedElement,
+    canonicalize_rotation,
+    exact_coefficient,
+)
 
 
 def _checked_image(quiver, degree, name, img):
@@ -136,12 +142,28 @@ class REndomorphism:
         integral).
 
         A potential's output terms are cycles by construction (every rule
-        image has its arrow's endpoints), so they are only re-canonicalized,
-        not re-validated.
+        image has its arrow's endpoints), so they are not re-validated.  An
+        output word that is already a key of the input potential is kept as
+        it is: a potential's keys are canonical rotations.  Only rewritten
+        words are canonicalized, and words of one rotation class are merged,
+        in output order, as the ``Potential`` constructor merges them.
         """
         if isinstance(x, Potential):
+            if x.quiver != self.quiver:
+                raise ValueError("the potential lives on a different quiver")
             out = self.apply(x.as_element())
-            return Potential(out.quiver, out.degree, out.terms, validate=False)
+            keys, q = x.terms, self.quiver
+            terms = {}
+            for p, c in out.terms.items():
+                key = p if p in keys else canonicalize_rotation(q, p)
+                s = terms.get(key)
+                if s is None:
+                    terms[key] = c
+                elif (s := s + c) == 0:
+                    del terms[key]
+                else:
+                    terms[key] = exact_coefficient(s)
+            return Potential._raw(q, out.degree, terms)
         d = min(self.degree, x.degree)
         info = self._expansions()
         reach = min((e[1] for e in info.values()), default=inf)

@@ -67,15 +67,8 @@ def split(tq, pot):
     return SplitPotential(*(Potential._raw(tq.quiver, pot.degree, t) for t in buckets.values()))
 
 
-def _triangle_cycles(tq):
-    return {
-        canonicalize_rotation(tq.quiver, tq.triangle_cycle(i)): i
-        for i in range(len(tq.tau.triangles))
-    }
-
-
 def _check_disjoint_from_triangles(tq, pot, what):
-    tri = _triangle_cycles(tq)
+    tri = tq.triangle_cycles
     hits = [p for p in pot.terms if p in tri]
     if hits:
         raise ValueError(
@@ -96,7 +89,7 @@ def normalize_triangle_coefficients(tq, pot):
     q = tq.quiver
     d = pot.degree
     rules = {}
-    for cyc, i in _triangle_cycles(tq).items():
+    for cyc, i in tq.triangle_cycles.items():
         z = pot.terms.get(cyc, 0)
         if z == 0:
             raise ValueError(
@@ -109,7 +102,7 @@ def normalize_triangle_coefficients(tq, pot):
         rules[alpha] = TruncatedElement.from_arrow(q, d, alpha, Fraction(1, 1) / z)
     phi = REndomorphism(q, d, rules)
     out = phi.apply(pot)
-    for cyc, i in _triangle_cycles(tq).items():
+    for cyc, i in tq.triangle_cycles.items():
         if out.terms.get(cyc) != 1:
             raise RuntimeError("triangle %d still lacks unit coefficient" % i)
     return phi, out

@@ -459,8 +459,11 @@ class TruncatedElement(_Graded):
 class Potential(_Graded):
     """A rational combination of cycles, canonical under rotation.
 
-    Two potentials are cyclically equivalent exactly when their canonical
-    term dictionaries agree; all arithmetic here re-canonicalizes.
+    Every key is the canonical rotation of its cycle, so two potentials are
+    cyclically equivalent exactly when their term dictionaries agree.  The
+    constructor canonicalizes each term; sums, negation, scaling and
+    truncation only combine keys that are canonical already and build the
+    result with ``_raw``.
     """
 
     __slots__ = ()

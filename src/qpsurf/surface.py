@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 from .path_algebra import Path, Potential, Quiver, canonicalize_rotation
 
@@ -258,6 +259,7 @@ class TriangulationQuiver:
         self.arrow_puncture = placed
         self.m = {nm: next(p.valency for p in punctures if p.pid == pid)
                   for nm, pid in placed.items()}
+        self._cycle_classes = {}  # classify_cycle's memo: given cycle -> CycleClass
 
     # -- permutations --------------------------------------------------
 
@@ -320,6 +322,14 @@ class TriangulationQuiver:
     def conditions(self):
         """The standing conditions' report, computed once per quiver."""
         return check_conditions(self)
+
+    @cached_property
+    def triangle_cycles(self):
+        """Read-only map: canonical rotation of each triangle 3-cycle -> triangle index."""
+        return MappingProxyType({
+            canonicalize_rotation(self.quiver, self.triangle_cycle(i)): i
+            for i in range(len(self.tau.triangles))
+        })
 
     def __repr__(self):
         return "TriangulationQuiver(%r)" % (self.quiver,)
@@ -523,8 +533,23 @@ def _step_symbols(tq, word):
 
 
 def classify_cycle(tq, cycle):
-    """Sort a cycle into exactly one of the three shapes of the trichotomy."""
+    """Sort a cycle into exactly one of the three shapes of the trichotomy.
+
+    The result is remembered per quiver under the cycle as given, so each
+    written word is classified once: a ``TriangulationQuiver`` is not
+    changed after construction and a ``CycleClass`` is immutable, so a
+    stored result is the one a fresh classification of that word would
+    return.  A word that fails to classify is not stored.
+    """
     _require_conditions(tq)
+    cls = tq._cycle_classes.get(cycle)
+    if cls is None:
+        cls = tq._cycle_classes[cycle] = _classify(tq, cycle)
+    return cls
+
+
+def _classify(tq, cycle):
+    """The trichotomy worked out from the word itself, without the memo."""
     if not tq.quiver.is_cycle(cycle):
         raise ValueError("not a cycle: %r" % (cycle,))
     canon = canonicalize_rotation(tq.quiver, cycle)

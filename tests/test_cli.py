@@ -309,11 +309,12 @@ class TestAbsorb:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("powers", ["p0:2=0"])
-    def test_zero_v_is_absorbed_by_the_identity(self, capsys, powers):
+    def test_zero_v_is_absorbed_by_the_identity(self, capsys, tmp_path):
+        v = tmp_path / "v.json"
+        v.write_text(json.dumps({"D": 20, "terms": []}))
         code, out = run(
             capsys, "absorb", "--triangulation", "genus2p:1",
-            "--x", "1,1", "--powers", powers, "--degree", "20",
+            "--x", "1,1", "--potential", str(v), "--degree", "20",
         )
         assert code == 0
         assert "V terms: 0, short(V)=inf, D=20" in out
@@ -328,6 +329,9 @@ class TestAbsorb:
             ("p9:2=1", "--powers: unknown puncture 'p9'"),
             ("p0:x=1", "--powers: not a positive integer power: 'x'"),
             ("p0:0=1", "--powers: not a positive integer power: '0'"),
+            # a zero term would silently make V = 0 and PASS on the identity
+            ("p0:2=0", "--powers: p0:2 has coefficient 0"),
+            ("p1:2=1,p0:2=0/5", "--powers: p0:2 has coefficient 0"),
         ],
     )
     def test_bad_power_is_an_error(self, capsys, powers, message):

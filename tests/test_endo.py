@@ -19,7 +19,13 @@ from qpsurf.endo import (
     invert_unitriangular,
     limit_compose,
 )
-from qpsurf.path_algebra import Path, Potential, Quiver, TruncatedElement
+from qpsurf.path_algebra import (
+    Path,
+    Potential,
+    Quiver,
+    TruncatedElement,
+    canonicalize_rotation,
+)
 from qpsurf.surface import potential_S
 
 
@@ -199,6 +205,53 @@ class TestLengthOrderedImages:
             Path(("z", "z", "y", "y")): 2,
             Path(("z", "y", "z", "y", "y")): 4,
         }
+
+
+class TestApplyOnPotentials:
+    """apply() keeps the input's canonical keys and canonicalizes only rewritten words."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        which=st.sampled_from(["fig", "torus", "two loops"]),
+        seed=st.integers(0, 2**32 - 1),
+        degree=st.integers(3, 10),
+        nterms=st.integers(1, 6),
+    )
+    def test_matches_canonicalizing_every_output_word(
+        self, fig_tq, torus_tq, which, seed, degree, nterms
+    ):
+        q = {"fig": fig_tq.quiver, "torus": torus_tq.quiver, "two loops": TWO_LOOPS}[which]
+        rng = random.Random(seed)
+        phi = oracles.random_unitriangular(q, degree, rng)
+        pot = oracles.random_potential(q, degree, rng, nterms=nterms)
+        got = phi.apply(pot)
+        want = Potential(q, degree, phi.apply(pot.as_element()).terms)
+        assert list(got.terms.items()) == list(want.terms.items())
+        for p in got.terms:
+            assert p == canonicalize_rotation(q, p)
+
+    def test_rewritten_words_of_one_class_cancel(self):
+        # x -> x + y and w -> w + z send xz to xz + yz and -wy to -wy - zy;
+        # neither yz nor zy is an input key, and they cancel once rotated
+        q = Quiver(["u"], [("w", "u", "u"), ("x", "u", "u"), ("y", "u", "u"),
+                           ("z", "u", "u")])
+        phi = REndomorphism(q, 6, {
+            "x": TruncatedElement(q, 6, {Path(("x",)): 1, Path(("y",)): 1}),
+            "w": TruncatedElement(q, 6, {Path(("w",)): 1, Path(("z",)): 1}),
+        })
+        pot = Potential(q, 6, {Path(("x", "z")): 1, Path(("w", "y")): -1})
+        assert phi.apply(pot.as_element()).terms == {
+            Path(("x", "z")): 1, Path(("y", "z")): 1,
+            Path(("w", "y")): -1, Path(("z", "y")): -1,
+        }
+        out = phi.apply(pot)
+        assert out.terms == {Path(("x", "z")): 1, Path(("w", "y")): -1}
+        assert out == Potential(q, 6, phi.apply(pot.as_element()).terms)
+
+    def test_potential_on_another_quiver_is_rejected(self, fig_tq, torus_tq):
+        phi = REndomorphism.identity(fig_tq.quiver, 8)
+        with pytest.raises(ValueError, match="different quiver"):
+            phi.apply(potential_S(torus_tq, 1, 8))
 
 
 class TestComposition:

@@ -413,3 +413,51 @@ class TestClassification:
     def test_non_cycle_rejected(self, fig_tq):
         with pytest.raises(ValueError):
             classify_cycle(fig_tq, Path(("a1", "b1")))
+
+
+class TestClassificationMemo:
+    """classify_cycle remembers each word's class per quiver, and only classes."""
+
+    def test_every_rotation_matches_the_reference_warm_and_fresh(self, fig_tq):
+        fresh = build_quiver(twice_punctured_genus(1))
+        for word in oracles.all_cycle_classes(fig_tq.quiver, 10):
+            for i in range(len(word)):
+                p = Path(word[i:] + word[:i])
+                kind, data = oracles.classify_by_steps(fig_tq, p)
+                got = [classify_cycle(tq, p) for tq in (fig_tq, fresh, fig_tq, fresh)]
+                assert got[0] == got[1] and got[2] is got[0] and got[3] is got[1]
+                cls = got[0]
+                assert cls.kind == kind
+                if kind in ("F", "G"):
+                    assert cls.n == data
+                else:
+                    # the witness reads the word from one of its pinch points
+                    w = p.arrows
+                    rotations = {w[j:] + w[:j] for j in data}
+                    assert fg_witness_cycle(fig_tq, cls).arrows in rotations
+
+    def test_failures_are_not_remembered(self):
+        tq = build_quiver(twice_punctured_genus(1))
+        bad = Path(("a1", "b1"))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not a cycle"):
+                classify_cycle(tq, bad)
+        assert tq._cycle_classes == {}
+
+    def test_quivers_do_not_share_entries(self):
+        one = build_quiver(twice_punctured_genus(1))
+        two = build_quiver(twice_punctured_genus(1))
+        tri = one.triangle_cycle(0)
+        assert classify_cycle(one, tri) == classify_cycle(two, tri)
+        classify_cycle(one, one.puncture_cycle("p1"))
+        assert list(one._cycle_classes) == [tri, one.puncture_cycle("p1")]
+        assert list(two._cycle_classes) == [tri]
+
+    def test_triangle_cycles_are_canonical_and_built_once(self, fig_tq):
+        tri = fig_tq.triangle_cycles
+        assert tri is fig_tq.triangle_cycles
+        assert sorted(tri.values()) == [0, 1, 2, 3]
+        for cyc, i in tri.items():
+            assert cyc == canonicalize_rotation(fig_tq.quiver, fig_tq.triangle_cycle(i))
+        with pytest.raises(TypeError):
+            tri[cyc] = 9
