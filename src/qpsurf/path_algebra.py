@@ -252,7 +252,7 @@ class _Graded:
 
     __slots__ = ("quiver", "degree", "terms")
 
-    def __init__(self, quiver, degree, terms=None, validate=True):
+    def __init__(self, quiver, degree, terms=None):
         degree = int(degree)
         if degree < 0:
             raise ValueError("negative truncation degree")
@@ -265,8 +265,7 @@ class _Graded:
             c = exact_coefficient(c)
             if c == 0:
                 continue
-            if validate:
-                self._check(p)
+            self._check(p)
             key = self._key(p)
             s = clean.get(key)
             if s is None:
@@ -298,7 +297,7 @@ class _Graded:
 
     @classmethod
     def zero(cls, quiver, degree):
-        return cls(quiver, degree, {}, validate=False)
+        return cls._raw(quiver, degree, {})
 
     # -- structure -----------------------------------------------------
 
@@ -526,8 +525,8 @@ def cyclic_derivative(pot, arrow_name):
             if s == 0:
                 out.pop(r, None)
             else:
-                out[r] = s
-    return TruncatedElement(q, d, out, validate=False)
+                out[r] = exact_coefficient(s)
+    return TruncatedElement._raw(q, d, out)
 
 
 def enumerate_cycle_classes(quiver, max_length):

@@ -325,22 +325,16 @@ def mutate(qp, k):
 # ----------------------------------------------------------------------
 
 def _triangle_labels(tq, k):
-    """The (b, a, c) arrow names of one triangle containing arc k.
+    """(triangle index, (b, a, c)) for each of the two triangles holding arc k.
 
-    b leaves k, c enters k, a is the third side's arrow.
+    b leaves k, c enters k, a is the third side's arrow: the corners of the
+    triangle read from k's position on.
     """
-    out = {}
-    for i, tri in enumerate(tq.tau.triangles):
-        if k not in tri:
-            continue
-        arrows = [a for a in tq.quiver.arrows if tq.triangle_index[a.name] == i]
-        b = next(a.name for a in arrows if a.tail == k)
-        c = next(a.name for a in arrows if a.head == k)
-        a_ = next(a.name for a in arrows if k not in (a.tail, a.head))
-        out[i] = (b, a_, c)
-    if len(out) != 2:
-        raise ValueError("arc %r does not lie in two distinct triangles" % (k,))
-    return out
+    return [
+        (i, tuple(tq.corners[(i, (tri.index(k) + r) % 3)] for r in range(3)))
+        for i, tri in enumerate(tq.tau.triangles)
+        if k in tri
+    ]
 
 
 def _segment_element(old, new, k, seg, at_vertex, degree):
@@ -436,10 +430,7 @@ def verify_flip_compatibility(tau, k, x, n, degree=None, perturb=None):
 
     pre = premutate(QP(tq1.quiver, s1), k)
     new_q = pre.quiver
-    labels = _triangle_labels(tq1, k)
-    (i1, i2) = sorted(labels)
-    b1, a1, c1 = labels[i1]
-    b2, a2, c2 = labels[i2]
+    (i1, (b1, a1, c1)), (i2, (b2, a2, c2)) = _triangle_labels(tq1, k)
 
     # Split the puncture cycle around a1 and a2: 𝒢 ~rot a1 · A · a2 · B.
     gword = tq1.puncture_cycle(tq1.punctures[0].pid).arrows
@@ -488,25 +479,17 @@ def verify_flip_compatibility(tau, k, x, n, degree=None, perturb=None):
         "got %r" % (rwitness.pairs,),
     ))
 
-    # Forced arc matching: each new triangle of the flip takes the
-    # composite arrow on its first side and the two stars after it.
-    def sigma_arrow(tri_idx, tail, head):
-        for a in tq2.quiver.arrows:
-            if tq2.triangle_index[a.name] == tri_idx and a.tail == tail and a.head == head:
-                return a.name
-        raise ValueError("no arrow %r->%r in flipped triangle %d" % (tail, head, tri_idx))
-
-    t1 = sigma.triangles[i1]  # (s2, s3, k)
-    t2 = sigma.triangles[i2]  # (s4, s1, k)
-    s2_, s3_, _ = t1
-    s4_, s1_, _ = t2
+    # Forced arc matching: each new triangle of the flip, (s2, s3, k) at i1
+    # and (s4, s1, k) at i2, takes the composite arrow on its first corner
+    # and the two stars after it.
+    corner = tq2.corners
     renaming = {
-        "[%s%s]" % (b2, c1): sigma_arrow(i1, s2_, s3_),
-        b2 + "*": sigma_arrow(i1, s3_, k),
-        c1 + "*": sigma_arrow(i1, k, s2_),
-        "[%s%s]" % (b1, c2): sigma_arrow(i2, s4_, s1_),
-        b1 + "*": sigma_arrow(i2, s1_, k),
-        c2 + "*": sigma_arrow(i2, k, s4_),
+        "[%s%s]" % (b2, c1): corner[(i1, 0)],
+        b2 + "*": corner[(i1, 1)],
+        c1 + "*": corner[(i1, 2)],
+        "[%s%s]" % (b1, c2): corner[(i2, 0)],
+        b1 + "*": corner[(i2, 1)],
+        c2 + "*": corner[(i2, 2)],
     }
     for a in red.quiver.arrows:
         renaming.setdefault(a.name, a.name)

@@ -40,33 +40,30 @@ class Triangulation:
         self.arcs = tuple(arcs)
         if len(set(self.arcs)) != len(self.arcs):
             raise ValueError("duplicate arc ids")
-        arcset = set(self.arcs)
+        # Slot bookkeeping: arc -> its two (triangle, position) occurrences.
+        slots = {a: [] for a in self.arcs}
         tris = []
-        counts = {a: 0 for a in self.arcs}
-        for tri in triangles:
+        for i, tri in enumerate(triangles):
             tri = tuple(tri)
             if len(tri) != 3:
                 raise ValueError("triangle %r does not have three sides" % (tri,))
             if len(set(tri)) != 3:
                 raise ValueError("self-folded triangle %r" % (tri,))
-            for s in tri:
-                if s not in arcset:
+            for j, s in enumerate(tri):
+                if s not in slots:
                     raise ValueError("triangle side %r is not an arc" % (s,))
-                counts[s] += 1
+                slots[s].append((i, j))
             tris.append(tri)
+        if not tris:
+            raise ValueError("a triangulation needs at least one triangle")
         self.triangles = tuple(tris)
-        bad = [a for a, c in counts.items() if c != 2]
+        bad = [a for a, occ in slots.items() if len(occ) != 2]
         if bad:
             raise ValueError(
                 "arcs must appear on exactly two triangle sides; offending: %r" % (bad,)
             )
         if not _connected(self.arcs, self.triangles):
             raise ValueError("triangulation is not connected")
-        # Slot bookkeeping: arc -> its two (triangle, position) occurrences.
-        slots = {}
-        for i, tri in enumerate(self.triangles):
-            for j, s in enumerate(tri):
-                slots.setdefault(s, []).append((i, j))
         self._slots = slots
         self.arrow_names = dict(arrow_names) if arrow_names else None
 
@@ -155,8 +152,6 @@ class Triangulation:
 
 
 def _connected(arcs, triangles):
-    if not triangles:
-        return not arcs
     reps = {a: a for a in arcs}
 
     def find(a):
@@ -177,21 +172,17 @@ def flip(tau, k):
 
     The two triangles (k, s1, s2) and (k, s3, s4) become (s2, s3, k) and
     (s4, s1, k); untouched arcs keep their ids and the new diagonal
-    inherits the id k.  Fails if the result would be self-folded, which
-    happens exactly when the two triangles share a second side in the
-    gluing position (s2 = s3 or s4 = s1).
+    inherits the id k.  Arrow names carried by the triangulation stay on
+    the corners of every other triangle.  Fails if the result would be
+    self-folded, which happens exactly when the two triangles share a
+    second side in the gluing position (s2 = s3 or s4 = s1).
     """
-    hits = [i for i, tri in enumerate(tau.triangles) if k in tri]
-    if len(hits) != 2:
+    if k not in tau._slots:
         raise ValueError("arc %r does not lie in two distinct triangles" % (k,))
-    i1, i2 = hits
-
-    def rot_to_front(tri):
-        j = tri.index(k)
-        return tri[j:] + tri[:j]
-
-    _, s1, s2 = rot_to_front(tau.triangles[i1])
-    _, s3, s4 = rot_to_front(tau.triangles[i2])
+    (i1, j1), (i2, j2) = tau._slots[k]
+    t1, t2 = tau.triangles[i1], tau.triangles[i2]
+    _, s1, s2 = t1[j1:] + t1[:j1]
+    _, s3, s4 = t2[j2:] + t2[:j2]
     if s2 == s3 or s4 == s1:
         raise ValueError(
             "flipping arc %r would create a self-folded triangle "
@@ -200,7 +191,8 @@ def flip(tau, k):
     tris = list(tau.triangles)
     tris[i1] = (s2, s3, k)
     tris[i2] = (s4, s1, k)
-    return Triangulation(tau.arcs, tris)
+    names = tau.arrow_names and {c: nm for c, nm in tau.arrow_names.items() if c[0] not in (i1, i2)}
+    return Triangulation(tau.arcs, tris, names)
 
 
 # ----------------------------------------------------------------------
@@ -217,48 +209,35 @@ class PunctureData:
 
 
 class TriangulationQuiver:
-    """Q(τ) together with the permutations f and g and the puncture data."""
+    """Q(τ) together with the permutations f and g and the puncture data.
 
-    def __init__(self, tau, quiver, f, tri_index):
+    ``corners[(i, j)]`` names the arrow at corner j of triangle i, from
+    side j to side j+1.  f turns a corner inside its triangle; g moves it
+    to the next corner around its puncture, so the g-orbits are the
+    corner orbits of τ, numbered p0, p1, … in that order.
+    """
+
+    def __init__(self, tau, quiver, corners):
         self.tau = tau
         self.quiver = quiver
-        self.f = dict(f)
-        self.triangle_index = dict(tri_index)
+        self.corners = MappingProxyType(dict(corners))
+        self.f = {nm: corners[(i, (j + 1) % 3)] for (i, j), nm in corners.items()}
         self.f_inv = {v: k for k, v in self.f.items()}
-        # g(α) = the other arrow with tail head(α).
-        g = {}
-        for a in quiver.arrows:
-            outgoing = quiver.arrows_out[a.head]
-            if len(outgoing) != 2:
-                raise ValueError(
-                    "vertex %r has %d outgoing arrows, expected 2" % (a.head, len(outgoing))
-                )
-            fa = self.f[a.name]
-            others = [b.name for b in outgoing if b.name != fa]
-            if len(others) != 1:
-                raise ValueError("cannot determine g at %r" % a.name)
-            g[a.name] = others[0]
-        self.g = g
-        self.g_inv = {v: k for k, v in g.items()}
-        # g-orbits, discovered in arrow declaration order, are the punctures.
+        self.triangle_index = {nm: i for (i, _), nm in corners.items()}
         punctures = []
-        placed = {}
-        for a in quiver.arrows:
-            if a.name in placed:
-                continue
-            orbit = [a.name]
-            cur = g[a.name]
-            while cur != a.name:
-                orbit.append(cur)
-                cur = g[cur]
+        self.g = {}
+        self.arrow_puncture = {}
+        self.m = {}
+        for orbit in tau.corner_orbits():
+            names = tuple(corners[c] for c in orbit)
             pid = "p%d" % len(punctures)
-            punctures.append(PunctureData(pid, len(orbit), tuple(orbit)))
-            for nm in orbit:
-                placed[nm] = pid
+            punctures.append(PunctureData(pid, len(names), names))
+            for nm, nxt in zip(names, names[1:] + names[:1]):
+                self.g[nm] = nxt
+                self.arrow_puncture[nm] = pid
+                self.m[nm] = len(names)
         self.punctures = tuple(punctures)
-        self.arrow_puncture = placed
-        self.m = {nm: next(p.valency for p in punctures if p.pid == pid)
-                  for nm, pid in placed.items()}
+        self.g_inv = {v: k for k, v in self.g.items()}
         self._cycle_classes = {}  # classify_cycle's memo: given cycle -> CycleClass
 
     # -- permutations --------------------------------------------------
@@ -315,8 +294,7 @@ class TriangulationQuiver:
 
     def triangle_cycle(self, i):
         """The 3-cycle of triangle i, written f²(α)f(α)α for its first arrow."""
-        alpha = next(nm for nm, t in self.triangle_index.items() if t == i)
-        return self.f_path(3, alpha)
+        return self.f_path(3, self.corners[(i, 0)])
 
     @cached_property
     def conditions(self):
@@ -342,24 +320,15 @@ def build_quiver(tau):
     are named a{i+1}, b{i+1}, c{i+1} unless the triangulation carries its
     builder's names (a map (triangle index, position) -> name).
     """
-    arrow_names = tau.arrow_names
+    arrow_names = tau.arrow_names or {}
     arrows = []
-    f = {}
-    tri_index = {}
+    corners = {}
     for i, tri in enumerate(tau.triangles):
-        names = []
         for j in range(3):
-            if arrow_names and (i, j) in arrow_names:
-                nm = arrow_names[(i, j)]
-            else:
-                nm = "%s%d" % (_POSITION_NAMES[j], i + 1)
-            names.append(nm)
+            nm = arrow_names.get((i, j), "%s%d" % (_POSITION_NAMES[j], i + 1))
+            corners[(i, j)] = nm
             arrows.append((nm, tri[j], tri[(j + 1) % 3]))
-            tri_index[nm] = i
-        for j in range(3):
-            f[names[j]] = names[(j + 1) % 3]
-    quiver = Quiver(tau.arcs, arrows)
-    return TriangulationQuiver(tau, quiver, f, tri_index)
+    return TriangulationQuiver(tau, Quiver(tau.arcs, arrows), corners)
 
 
 # ----------------------------------------------------------------------

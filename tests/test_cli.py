@@ -67,6 +67,18 @@ class TestBuild:
         assert code == 0
         assert "arcs: 3" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["build", "load", "F"],
+        ["quiver", "--triangulation", "F"],
+        ["classify", "--triangulation", "F"],
+        ["jacobian-dim", "--triangulation", "F", "--x", "1"],
+    ])
+    def test_empty_triangulation_is_an_error(self, capsys, tmp_path, argv):
+        f = tmp_path / "empty.json"
+        f.write_text(json.dumps({"arcs": [], "triangles": []}))
+        out = _error_report(capsys, tmp_path, [str(f) if tok == "F" else tok for tok in argv])
+        assert "ERROR: a triangulation needs at least one triangle\n" in out
+
     def test_a_build_report_is_not_a_triangulation(self, capsys, tmp_path):
         rpt = tmp_path / "build.json"
         run(capsys, "--report", str(rpt), "build", "torus")

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from qpsurf.path_algebra import (
@@ -49,6 +50,28 @@ FIG_ENDPOINTS = {
 FIG_RIM_ORBIT = ("b1", "c2", "b4", "c1", "b3", "c4", "b2", "c3")
 FIG_HUB_ORBIT = ("a1", "a4", "a3", "a2")
 
+SURFACES = {
+    "torus": once_punctured_torus,
+    "genus2p:1": lambda: twice_punctured_genus(1),
+    "genus2p:2": lambda: twice_punctured_genus(2),
+    "genus2p:3": lambda: twice_punctured_genus(3),
+}
+
+
+def flip_walk(tau, rng, steps):
+    """Yield (τ, k, flip(τ, k)) along a seeded walk, skipping self-folded flips."""
+    for _ in range(steps):
+        arcs = list(tau.arcs)
+        rng.shuffle(arcs)
+        for k in arcs:
+            try:
+                sigma = flip(tau, k)
+            except ValueError:
+                continue
+            yield tau, k, sigma
+            tau = sigma
+            break
+
 
 class TestTriangulation:
     def test_every_arc_must_appear_twice(self):
@@ -56,6 +79,11 @@ class TestTriangulation:
             Triangulation([1, 2, 3], [(1, 2, 3)])
         with pytest.raises(ValueError):
             Triangulation([1, 2], [(1, 1, 2), (1, 2, 2)])
+
+    def test_no_triangles_rejected(self):
+        for arcs in ([], [1, 2, 3]):
+            with pytest.raises(ValueError, match="at least one triangle"):
+                Triangulation(arcs, [])
 
     def test_equality_ignores_rotation_and_order(self):
         a = Triangulation([1, 2, 3], [(1, 2, 3), (1, 2, 3)])
@@ -159,6 +187,52 @@ class TestFlip:
             assert sorted(p.valency for p in build_quiver(flip(tau, k)).punctures) == got
 
 
+class TestFlipKeepsArrowNames:
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_untouched_triangles_keep_their_arrows(self, g):
+        rng = random.Random(1700 + g)
+        for tau, k, sigma in flip_walk(twice_punctured_genus(g), rng, 60):
+            before, after = build_quiver(tau), build_quiver(sigma)
+            touched = {i for i, tri in enumerate(tau.triangles) if k in tri}
+            assert len(touched) == 2
+            for (i, j), nm in before.corners.items():
+                if i in touched:
+                    continue
+                assert after.corners[(i, j)] == nm
+                assert after.quiver.arrow(nm) == before.quiver.arrow(nm)
+
+
+class TestCornerMapAlongFlips:
+    """The corner map and everything derived from it, on triangulations reached by flips."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(SURFACES)), st.integers(0, 2**32 - 1), st.integers(0, 20))
+    def test_f_g_and_punctures_from_the_corners(self, surface, seed, steps):
+        tau = SURFACES[surface]()
+        taus = [tau] + [sigma for _, _, sigma in flip_walk(tau, random.Random(seed), steps)]
+        for tau in taus:
+            tq = build_quiver(tau)
+            q = tq.quiver
+            assert sorted(tq.corners.values()) == sorted(a.name for a in q.arrows)
+            for (i, j), nm in tq.corners.items():
+                tri = tau.triangles[i]
+                assert (q.tail(nm), q.head(nm)) == (tri[j], tri[(j + 1) % 3])
+            for a in q.arrows:
+                # g(α) is the other arrow leaving head(α)
+                others = [b.name for b in q.arrows_out[a.head] if b.name != tq.f[a.name]]
+                assert others == [tq.g[a.name]]
+            assert sorted(p.valency for p in tq.punctures) == oracles.dart_orbit_valencies(tau)
+            firsts = [min(q.rank(nm) for nm in p.arrows) for p in tq.punctures]
+            assert firsts == sorted(firsts)
+            for n, p in enumerate(tq.punctures):
+                assert p.pid == "p%d" % n
+                assert q.rank(p.arrows[0]) == firsts[n]
+                assert all(tq.m_of(nm) == p.valency for nm in p.arrows)
+            for i in range(len(tau.triangles)):
+                alpha = q.arrows[3 * i].name
+                assert tq.triangle_cycle(i) == tq.f_path(3, alpha)
+
+
 class TestQuiverStructure:
     @pytest.fixture(params=["torus", "g1", "g2", "g3"])
     def tq(self, request, torus_tq, fig_tq, fig_g2_tq):
@@ -225,6 +299,13 @@ class TestFrozenTables:
         assert torus_tq.puncture_cycle(p.pid).arrows == (
             "c2", "b1", "a2", "c1", "b2", "a1"
         )
+
+    def test_torus_corners_are_read_only(self, torus_tq):
+        assert dict(torus_tq.corners) == {
+            (i, j): "abc"[j] + str(i + 1) for i in range(2) for j in range(3)
+        }
+        with pytest.raises(TypeError):
+            torus_tq.corners[(0, 0)] = "a2"
 
     def test_torus_triangle_cycles(self, torus_tq):
         assert torus_tq.triangle_cycle(0).arrows == ("c1", "b1", "a1")
