@@ -10,10 +10,16 @@ graded-lex greatest path of the row — reductions therefore express long
 paths through shorter ones.  The rows close the generators under arrow
 multiplication one side at a time: a pivot born from a left shift is
 shifted again only on the left, every other pivot on both sides, which
-spans the same window with far fewer rows (see quotient_dimension).  Each
-index keeps the word it was first built from, so its kill-rule status (see
-_Kills) is read from it and elimination never unranks.  Coefficients stay
-plain ints while integral (``exact_coefficient``).
+spans the same window with far fewer rows (see quotient_dimension).  A
+shifted row is indexed from the row it shifts (see _Shifts): a left shift
+b·w ranks in O(1) from w's index and first letter, a right shift w·b is
+ranked once per (index, arrow) and remembered.  Each index also keeps its
+kill threshold, the least length from which a kill rule it contains
+applies (see _Kills); a shifted path tests only the rules that start or
+end with the new arrow, so elimination never unranks a row's path.  A
+one-term row needs no elimination: it is a new lead unless its path is
+killed or a lead already.  Coefficients stay plain ints while integral
+(``exact_coefficient``).
 
 Finiteness certificate: if at some length L every path of that length
 either vanishes by a far-band rule or is a pivot, each of them rewrites
@@ -29,6 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import inf
 
 from .path_algebra import Path, cyclic_derivative, exact_coefficient
 
@@ -74,6 +81,21 @@ class _PathIndex:
             r -= 1
             rank += below[nm][r]
         return rank
+
+    def left_base(self, pid, word):
+        """The index of b·word less ``first[b][len(word)]``, for any arrow b.
+
+        Prefixing b moves the path one length up, turns its first letter
+        w0 from a leftmost letter into an inner one and adds b's own entry:
+        ``pid − offsets[n] + offsets[n+1] + below[w0][n−1] − first[w0][n−1]``
+        for n = len(word) ≥ 1, and offsets[1] for a vertex.
+        """
+        n = len(word)
+        if not n:
+            return self.offsets[1]
+        w0 = word[0]
+        return (pid - self.offsets[n] + self.offsets[n + 1]
+                + self.below[w0][n - 1] - self.first[w0][n - 1])
 
     def length_of(self, pid):
         return bisect_right(self.offsets, pid) - 1
@@ -142,8 +164,10 @@ class TruncatedQuotient:
         return self._index.pid(p.arrows, p.at)
 
     def reduce_path(self, p):
-        """The residue of a path in the quotient, as {Path: coefficient}."""
-        row = _reduce_against(self._pivots, {self._pid(p): Fraction(1)}, self._kills)
+        """The residue of a path in the quotient, as {Path: coefficient}: a
+        combination of paths that are neither pivot leads nor killed, equal
+        for congruent paths."""
+        row = _residue(self._pivots, {self._pid(p): Fraction(1)}, self._kills)
         return {self._index.unrank(i): c for i, c in row.items()}
 
     def is_basis_path(self, p):
@@ -169,7 +193,12 @@ class _Kills:
         # One character per arrow, so that a subword test is a substring test.
         self.letter = {a.name: chr(i) for i, a in enumerate(index.quiver.arrows)}
         self.spelled = []
-        # pid -> killed?  Elimination fills it from the words it builds;
+        # arrow -> (rest of the word, min_length) of the rules whose word
+        # starts with it, and (the word but its last letter, min_length) of
+        # those that end with it: what a path can newly contain once that
+        # arrow is put on its left or right.
+        self.starts, self.ends = {}, {}
+        # pid -> killed?  _Shifts fills it for the paths that rows use;
         # killed_pid falls back to unranking only for other indices.
         self.memo = {}
 
@@ -177,18 +206,36 @@ class _Kills:
         word = tuple(word)
         self.rules.append((word, min_length))
         self.spelled.append((self.spell(word), min_length))
+        self.starts.setdefault(word[0], []).append((word[1:], min_length))
+        self.ends.setdefault(word[-1], []).append((word[:-1], min_length))
         self.memo.clear()
 
     def spell(self, word):
         return "".join(map(self.letter.__getitem__, word))
 
-    def killed_word(self, word):
-        n = len(word)
+    def threshold(self, word):
+        """The least min_length of the rules whose word the path contains:
+        the path is killed iff its length reaches it (inf if none applies)."""
         s = self.spell(word)
-        for w, ml in self.spelled:
-            if n >= ml and w in s:
-                return True
-        return False
+        return min((ml for w, ml in self.spelled if w in s), default=inf)
+
+    def left_threshold(self, b, word, thr):
+        """The threshold of b·word, from ``thr``, the threshold of word."""
+        for rest, ml in self.starts.get(b, ()):
+            if ml < thr and word[:len(rest)] == rest:
+                thr = ml
+        return thr
+
+    def right_threshold(self, word, b, thr):
+        """The threshold of word·b, from ``thr``, the threshold of word."""
+        n = len(word)
+        for init, ml in self.ends.get(b, ()):
+            if ml < thr and len(init) <= n and word[n - len(init):] == init:
+                thr = ml
+        return thr
+
+    def killed_word(self, word):
+        return len(word) >= self.threshold(word)
 
     def killed_pid(self, pid):
         hit = self.memo.get(pid)
@@ -212,6 +259,60 @@ class _Kills:
             for ell in range(ml, hi + 1):
                 out[ell] = totals[ell] - avoid[ell]
         return out
+
+
+class _Shifts:
+    """The paths that rows use, each kept with what shifting it needs.
+
+    ``state[pid]`` is (word, kill threshold, left base).  A shifted path is
+    indexed from its source's entry: b·word as base + first[b][len(word)]
+    (see _PathIndex.left_base), word·b by ``_PathIndex.pid`` once per
+    (pid, b); its threshold follows from the source's by the rules that
+    start or end with b (see _Kills), so every kill rule is added before
+    the first path.  Each new path's kill status goes to the kill memo, so
+    elimination never unranks it.
+    """
+
+    def __init__(self, index, kills):
+        self.index, self.kills = index, kills
+        self.state = {}
+        self.rights = {}  # (pid, arrow) -> the index of that path times the arrow on its right
+
+    def _new(self, pid, word, thr):
+        self.state[pid] = (word, thr, self.index.left_base(pid, word))
+        self.kills.memo[pid] = len(word) >= thr
+
+    def add(self, word, at):
+        """The index of the path with this word (or vertex), recorded if new."""
+        pid = self.index.pid(word, at)
+        if pid not in self.state:
+            self._new(pid, word, self.kills.threshold(word))
+        return pid
+
+    def left(self, terms, b):
+        """Arrow b times the row of (pid, coefficient) terms, on its left."""
+        state, first, row = self.state, self.index.first[b], {}
+        for pid, c in terms:
+            word, thr, base = state[pid]
+            new = base + first[len(word)]
+            if new not in state:
+                self._new(new, (b,) + word, self.kills.left_threshold(b, word, thr))
+            row[new] = c
+        return row
+
+    def right(self, terms, b):
+        """The row of (pid, coefficient) terms times arrow b, on its right."""
+        state, rights, row = self.state, self.rights, {}
+        for pid, c in terms:
+            new = rights.get((pid, b))
+            if new is None:
+                word, thr, _ = state[pid]
+                longer = word + (b,)
+                new = rights[pid, b] = self.index.pid(longer)
+                if new not in state:
+                    self._new(new, longer, self.kills.right_threshold(word, b, thr))
+            row[new] = c
+        return row
 
 
 def _avoid_counts(quiver, words, upto):
@@ -270,8 +371,32 @@ def _reduce_against(pivots, row, kills):
     return row
 
 
+def _residue(pivots, row, kills):
+    """The row with every term reduced, in descending order: what is left
+    has no pivot lead and no killed path, so congruent rows agree."""
+    out = {}
+    row = _reduce_against(pivots, row, kills)
+    while row:
+        lead = max(row)
+        out[lead] = row.pop(lead)
+        row = _reduce_against(pivots, row, kills)
+    return out
+
+
 def _install(pivots, row, kills):
     """Reduce a row and, if nonzero, install it as a new pivot.  Returns lead or None."""
+    if len(row) == 1:
+        # A one-term row: a new lead unless its path is killed or a lead
+        # already; a one-term pivot there reduces it to zero.
+        [lead] = row
+        hit = pivots.get(lead)
+        if hit is None:
+            if kills.killed_pid(lead):
+                return None
+            pivots[lead] = {lead: 1}
+            return lead
+        if len(hit) == 1:
+            return None
     row = _reduce_against(pivots, row, kills)
     if not row:
         return None
@@ -349,29 +474,19 @@ def quotient_dimension(qp, degree):
             if band_min <= degree:
                 kills.add(at_min[0].arrows, band_min)
 
-    # pid -> (word, vertex) of every index a row has used, so that a pivot
-    # row can be shifted by an arrow without unranking its indices.
-    words = {}
-    killed = kills.memo
+    shifts = _Shifts(index, kills)
+    state = shifts.state
     pivots = {}
     fresh = deque()
 
-    def install(terms, left_born):
-        """Install the row of (word, vertex, coefficient) terms; queue a new pivot
-        with whether it was born from a left shift."""
-        row = {}
-        for word, at, coeff in terms:
-            pid = index.pid(word, at)
-            if pid not in words:
-                words[pid] = (word, at)
-                killed[pid] = kills.killed_word(word)
-            row[pid] = coeff
+    def install(row, left_born):
+        """Install a row; queue a new pivot with whether it was born from a left shift."""
         lead = _install(pivots, row, kills)
         if lead is not None:
             fresh.append((lead, left_born))
 
     for gen in nonzero:
-        install(((t.arrows, t.at, c) for t, c in gen.terms.items()), False)
+        install({shifts.add(t.arrows, t.at): c for t, c in gen.terms.items()}, False)
     rows = len(nonzero)
     # Close the span under arrows: every new pivot row, shifted once by each
     # composable arrow on the left, and also on the right unless the row was
@@ -380,21 +495,22 @@ def quotient_dimension(qp, degree):
     # never sums two terms into one index.
     while fresh:
         lead, left_born = fresh.popleft()
-        terms = [
-            (words[pid], c) for pid, c in pivots[lead].items()
-            if len(words[pid][0]) < degree
-        ]
+        terms = [(pid, c) for pid, c in pivots[lead].items() if len(state[pid][0]) < degree]
         if not terms:
             continue
-        word, at = terms[0][0]  # every term of a row has the same endpoints
-        head = q.head(word[0]) if word else at
-        shifts = [((b.name,), ()) for b in q.arrows_out[head]]
-        if not left_born:
-            tail = q.tail(word[-1]) if word else at
-            shifts += [((), (b.name,)) for b in q.arrows_in[tail]]
-        rows += len(shifts)
-        for left, right in shifts:
-            install(((left + w + right, None, c) for (w, _), c in terms), bool(left))
+        pid = terms[0][0]  # every term of a row has the same endpoints
+        word = state[pid][0]
+        if word:
+            head, tail = q.head(word[0]), q.tail(word[-1])
+        else:
+            head = tail = q.vertices[pid]
+        lefts = q.arrows_out[head]
+        rights = () if left_born else q.arrows_in[tail]
+        rows += len(lefts) + len(rights)
+        for b in lefts:
+            install(shifts.left(terms, b.name), True)
+        for b in rights:
+            install(shifts.right(terms, b.name), False)
 
     pivots_at = [0] * (degree + 1)
     for lead in pivots:
@@ -463,11 +579,16 @@ def g_path_independence_check(tq, quotient, n):
     paths = dict.fromkeys(
         tq.g_path(r, a.name) for a in tq.quiver.arrows for r in range(n * m - 1)
     )
-    # Rank of the residue family must equal its size.
-    scratch = {}
-    rank = 0
-    for p in paths:
-        row = {index.pid(p.arrows, p.at): Fraction(1)}
-        if _install(scratch, _reduce_against(quotient._pivots, row, kills), kills) is not None:
-            rank += 1
-    return rank == len(paths)
+    # Rank of the residue family must equal its size: each g-path is
+    # installed into one copy of the pivots, so a later one is reduced
+    # against the quotient and the earlier g-paths together.
+    rows = ({index.pid(p.arrows, p.at): Fraction(1)} for p in paths)
+    return _rank_modulo(quotient._pivots, rows, kills) == len(paths)
+
+
+def _rank_modulo(pivots, rows, kills):
+    """How many of the rows are independent modulo the pivots and the killed paths."""
+    pivots = dict(pivots)
+    return sum(
+        _install(pivots, _residue(pivots, row, kills), kills) is not None for row in rows
+    )

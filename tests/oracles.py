@@ -437,3 +437,13 @@ def brute_quotient_dims(quiver, pot, degree, generators):
         leads = sum(1 for w, _ in pivots if len(w) == length)
         dims.append(total - leads)
     return dims
+
+
+def killed_by_rules(word, rules):
+    """Whether the path has, as a contiguous subword, the word of a
+    (word, min_length) kill rule whose min_length it reaches."""
+    n = len(word)
+    return any(
+        n >= ml and any(word[i:i + len(w)] == w for i in range(n - len(w) + 1))
+        for w, ml in rules
+    )

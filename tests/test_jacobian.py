@@ -15,7 +15,11 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from qpsurf.jacobian import (
     TruncatedQuotient,
+    _Kills,
     _PathIndex,
+    _rank_modulo,
+    _residue,
+    _Shifts,
     g_path_independence_check,
     jacobian_generators,
     quotient_dimension,
@@ -30,16 +34,19 @@ from qpsurf.surface import (
     potential_T,
     twice_punctured_genus,
 )
+from test_surface import flip_walk
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "jacobian_dims.json").read_text())
 # S(τ, (1, 1)) on the two-puncture family genus2p:G, G = 1, 2, 3
 GOLDEN_2P = json.loads((GOLDEN_DIR / "jacobian_genus2p.json").read_text())
-# sha256 of the sorted pivot leads of each golden entry above, so that a
-# change to how the window is built must span the same window, not merely
-# count the same dimensions.  A separate file: the benchmark compares the
-# torus entries of jacobian_dims.json key by key with its witnesses.
-LEADS = json.loads((GOLDEN_DIR / "jacobian_leads.json").read_text())
+# Per golden entry above, and per benchmark torus case (n = 4, 5 at
+# D = 6n + 6): sha256 of the sorted pivot leads, rows installed and pivots
+# per length, so that a change to how the window is built must span the
+# same window with the same work, not merely count the same dimensions.  A
+# separate file: the benchmark compares the torus entries of
+# jacobian_dims.json key by key with its witnesses.
+WORK = json.loads((GOLDEN_DIR / "jacobian_leads.json").read_text())
 
 TWO_LOOPS = Quiver(["u"], [("l", "u", "u"), ("m", "u", "u")])
 
@@ -48,8 +55,11 @@ def torus_qp(tq, n, degree):
     return QP(tq.quiver, potential_S(tq, 1, degree, n=n))
 
 
-def leads_sha256(quo):
-    return hashlib.sha256(json.dumps(sorted(quo._pivots)).encode()).hexdigest()
+def assert_pinned_work(quo, pinned):
+    leads = hashlib.sha256(json.dumps(sorted(quo._pivots)).encode()).hexdigest()
+    assert leads == pinned["leads"]
+    assert quo.rows == pinned["rows"]
+    assert list(quo.pivots_per_length) == pinned["pivots_per_length"]
 
 
 class TestGenerators:
@@ -104,6 +114,57 @@ class TestPathIndex:
             index.unrank(-1)
 
 
+SHIFT_SURFACES = {
+    "torus": once_punctured_torus,
+    "genus2p:1": lambda: twice_punctured_genus(1),
+    "genus2p:2": lambda: twice_punctured_genus(2),
+}
+
+
+class TestShifts:
+    """Shifted paths are ranked and kill-tested from the path they shift."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        surface=st.sampled_from(sorted(SHIFT_SURFACES)),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(0, 4),
+        length=st.integers(0, 24),
+    )
+    def test_match_ranking_and_kill_rules(self, surface, seed, steps, length):
+        rng = random.Random(seed)
+        tau = SHIFT_SURFACES[surface]()
+        for _, _, tau in flip_walk(tau, rng, steps):
+            pass
+        tq = build_quiver(tau)
+        q = tq.quiver
+        # the lowest admissible degree: generators are at most m − 1 long
+        degree = max(p.valency for p in tq.punctures) + 1
+        quo, _ = quotient_dimension(QP(q, potential_S(tq, 1, degree)), degree)
+        index, kills = quo._index, quo._kills
+        assert kills.rules
+        # a random path of length < degree, grown on the right
+        length = min(length, degree - 1)
+        at = rng.choice(q.vertices)
+        word = (rng.choice(q.arrows).name,) if length else ()
+        while len(word) < length:
+            word += (rng.choice(q.arrows_in[q.tail(word[-1])]).name,)
+        shifts = _Shifts(index, kills)
+        pid = shifts.add(word, at)
+        assert pid == index.pid(word, at)
+        head = q.head(word[0]) if word else at
+        tail = q.tail(word[-1]) if word else at
+        shifted = [((b.name,) + word, shifts.left, b.name) for b in q.arrows_out[head]]
+        shifted += [(word + (b.name,), shifts.right, b.name) for b in q.arrows_in[tail]]
+        for longer, shift, b in shifted:
+            [new] = shift([(pid, 7)], b)
+            assert shift([(pid, 1)], b) == {new: 1}  # found again, recorded or memoised
+            assert new == index.pid(longer)
+            assert shifts.state[new][1] == kills.threshold(longer)
+            assert kills.memo[new] == kills.killed_word(longer)
+            assert kills.memo[new] == oracles.killed_by_rules(longer, kills.rules)
+
+
 class TestGoldenDimensions:
     @pytest.mark.parametrize("key", ["n=1", "n=2", "n=3"])
     def test_standard_weighted_cycles(self, torus_tq, key):
@@ -115,8 +176,16 @@ class TestGoldenDimensions:
         assert quo.dimension == entry["dimension"]
         assert quo.certificate_length == entry["certificate_length"]
         assert list(quo.per_degree) == entry["per_degree"]
-        assert leads_sha256(quo) == LEADS["torus"][key]
+        assert_pinned_work(quo, WORK["torus"][key])
         assert sum(quo.pivots_per_length) == len(quo._pivots) <= quo.rows
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_benchmark_torus_cases(self, torus_tq, n):
+        degree = 6 * n + 6
+        quo, certified = quotient_dimension(torus_qp(torus_tq, n, degree), degree)
+        assert certified
+        assert (quo.dimension, quo.certificate_length) == (36 * n, 6 * n - 1)
+        assert_pinned_work(quo, WORK["torus"]["n=%d" % n])
 
     @pytest.mark.parametrize("genus", [1, 2, 3])
     def test_two_puncture_family(self, genus):
@@ -128,7 +197,7 @@ class TestGoldenDimensions:
         assert quo.dimension == entry["dimension"]
         assert quo.certificate_length == entry["certificate_length"]
         assert list(quo.per_degree) == entry["per_degree"]
-        assert leads_sha256(quo) == LEADS["genus2p"]["g=%d" % genus]
+        assert_pinned_work(quo, WORK["genus2p"]["g=%d" % genus])
 
     def test_lower_bound_and_strict_growth(self, torus_tq):
         dims = {}
@@ -306,6 +375,20 @@ class TestReduction:
                 assert p in basis
                 assert len(p.arrows) < quo.certificate_length
 
+    def test_every_path_reduces_onto_the_basis(self, quo, torus_tq):
+        basis = set(quo.basis)
+        residues = {
+            p: quo.reduce_path(p) for p in oracles.graded_lex_paths(torus_tq.quiver, quo.degree)
+        }
+        assert all(set(r) <= basis for r in residues.values())
+        # Every pivot row is congruent to zero, so the residues of its terms cancel.
+        for row in quo._pivots.values():
+            total = {}
+            for pid, c in row.items():
+                for p, d in residues[quo._index.unrank(pid)].items():
+                    total[p] = total.get(p, 0) + c * d
+            assert not any(total.values())
+
     def test_relation_rewrites_corner_into_g_path(self, torus_tq):
         # β·f²(α)·f(α) is congruent to −x·n·β·(the long g-path of ∂_α)
         for n, d in ((1, 12), (2, 18)):
@@ -330,6 +413,28 @@ class TestReduction:
                     assert got == want
                     pairs += 1
             assert pairs == 12
+
+
+class TestSyntheticPivots:
+    """Pivots built in this order: 5 ≡ 4 − 2, then 2 ≡ 0; so 5 ≡ 4.  The
+    first pivot's lower term 2 became a lead after it was installed."""
+
+    PIVOTS = {5: {5: 1, 4: -1, 2: 1}, 2: {2: 1}}
+
+    @pytest.fixture
+    def kills(self):
+        return _Kills(_PathIndex(TWO_LOOPS, 3))  # no rules: nothing is killed
+
+    def test_residue_reduces_every_term(self, kills):
+        assert _residue(self.PIVOTS, {5: 1}, kills) == {4: 1}
+        assert _residue(self.PIVOTS, {4: 1}, kills) == {4: 1}
+        assert _residue(self.PIVOTS, {5: 1, 4: -1}, kills) == {}
+
+    def test_rank_counts_congruent_rows_once(self, kills):
+        pivots = {k: dict(v) for k, v in self.PIVOTS.items()}
+        assert _rank_modulo(pivots, [{5: 1}, {4: 1}], kills) == 1
+        assert _rank_modulo(pivots, [{5: 1}, {3: 1}, {4: 1}], kills) == 2
+        assert pivots == self.PIVOTS
 
 
 class TestGPathIndependence:
