@@ -4,7 +4,9 @@ On a twice-punctured surface the potential S is the triangle part plus
 one weighted cycle per puncture.  Adding a higher power of a puncture
 cycle does not change the right-equivalence class: an explicit
 unitriangular endomorphism carries S + V back to S.  This builds that
-endomorphism for V = (hub cycle)^2 and re-verifies it exactly.
+endomorphism for V = (hub cycle)^2, as the chain of factors whose
+composite it is, and re-verifies it exactly by applying the factors in
+turn.
 
 Run with:  python3 demos/absorb_powers.py
 """
@@ -27,10 +29,14 @@ print()
 print("V = (%s)^2, truncation degree %d" % (".".join(hub), degree))
 
 t0 = time.perf_counter()
-phi = absorb_g_powers(tq, (1, 1), v_pot)
+factors = absorb_g_powers(tq, (1, 1), v_pot)
 print("built the absorbing endomorphism in %.1fs" % (time.perf_counter() - t0))
-print("rules: %d, depth: %d" % (len(phi.rules), phi.depth()))
+print("phi = phi_%d o ... o phi_1, min factor depth: %d"
+      % (len(factors), min(f.depth() for f in factors)))
 
 t0 = time.perf_counter()
-ok = is_cyclically_equivalent(phi.apply(s_pot + v_pot), s_pot)
+out = s_pot + v_pot
+for f in factors:
+    out = f.apply(out)
+ok = is_cyclically_equivalent(out, s_pot)
 print("phi(S + V) = S up to cyclic equivalence: %s  (%.1fs)" % (ok, time.perf_counter() - t0))

@@ -112,12 +112,15 @@ def _load_object(path, build):
     """Read a JSON input file and build an object from it.
 
     JSON of the wrong shape (a number where a list belongs, say) makes
-    ``from_json_dict`` raise ``TypeError`` or ``AttributeError``; that
-    becomes a ``ValueError`` naming the file, so it ends in ERROR.
+    ``from_json_dict`` raise ``TypeError`` or ``AttributeError``, and JSON
+    without a key it reads raises ``KeyError``; each becomes a
+    ``ValueError`` naming the file (and the missing key), so it ends in ERROR.
     """
     data = _load_json(path)
     try:
         return build(data)
+    except KeyError as exc:
+        raise ValueError("%s: malformed input: missing %r" % (path, exc.args[0])) from None
     except (TypeError, AttributeError) as exc:
         raise ValueError("%s: malformed input: %s" % (path, exc)) from None
 
@@ -463,12 +466,13 @@ def cmd_absorb(args):
     else:
         raise ValueError("provide --potential or --powers")
     t0 = time.perf_counter()
-    # absorb_g_powers raises unless its witness carries S+V to S exactly.
-    phi = absorb_g_powers(tq, x, v_pot)
+    # absorb_g_powers raises unless its factors carry S+V to S exactly.
+    factors = absorb_g_powers(tq, x, v_pot)
     timings = {"absorb": time.perf_counter() - t0}
     details = [
         "V terms: %d, short(V)=%s, D=%d" % (len(v_pot.terms), v_pot.short, degree),
-        "endomorphism depth: %s, rules: %d" % (phi.depth(), len(phi.rules)),
+        "witness: %d factors, min depth %s"
+        % (len(factors), min((f.depth() for f in factors), default=float("inf"))),
         "PASS carries S+V to S exactly",
     ]
     witnesses = {
@@ -476,7 +480,7 @@ def cmd_absorb(args):
         "x": _x_inputs(x),
         "degree": degree,
         "v": v_pot.to_json_dict(),
-        "endo": phi.to_json_dict(),
+        "factors": [f.to_json_dict() for f in factors],
         "exact": True,
     }
     return "PASS", details, witnesses, timings

@@ -400,15 +400,15 @@ def compose_all(factors, quiver, degree):
     return psi
 
 
-def limit_compose(factors, quiver, degree):
-    """Compose a stream of substitutions until the tail stops mattering.
+def _limit_factors(factors, degree):
+    """Collect a stream of substitutions until the tail stops mattering.
 
-    Consumes ``factors`` (latest factor applied last, i.e. the composite is
-    ...∘φ2∘φ1) and stops once a factor has depth ≥ degree — beyond that
-    every further factor is the identity modulo the truncation — or the
-    stream ends.  Aborts loudly if 10·degree consecutive factors fail to
-    push the depth watermark up, which would mean the stream is not
-    converging.
+    Consumes ``factors`` (latest factor applied last) and returns the
+    factors taken, as a tuple in application order.  It stops once a factor
+    has depth ≥ degree — beyond that every further factor is the identity
+    modulo the truncation — or the stream ends.  Aborts loudly if 10·degree
+    consecutive factors fail to push the depth watermark up, which would
+    mean the stream is not converging.
     """
     collected = []
     watermark = -1
@@ -428,4 +428,16 @@ def limit_compose(factors, quiver, degree):
                     "limit composition stalled: %d factors without depth progress "
                     "(watermark %s)" % (stalled, watermark)
                 )
-    return compose_all(collected, quiver, degree)
+    return tuple(collected)
+
+
+def limit_compose(factors, quiver, degree):
+    """Compose a stream of substitutions until the tail stops mattering.
+
+    The composite ...∘φ2∘φ1 of the factors ``_limit_factors`` collects from
+    the stream (latest factor applied last).  Applying those factors in
+    turn gives the same result as applying the composite, exactly modulo
+    the truncation, so a caller that only applies its witness can keep the
+    factors and skip this fold.
+    """
+    return compose_all(_limit_factors(factors, degree), quiver, degree)

@@ -15,10 +15,12 @@ two-puncture family, leaving the bare weighted-cycle potential.
 
 Each public function re-verifies its witness exactly once, just before it
 returns: it applies the witness to the input and compares the result with
-the claimed output up to cyclic equivalence.  Nested stages are private
-generators (``_normal_form_rounds``, ``_walk``) that yield their factors
-into the caller's one stream and keep their cheap invariant checks, but
-never re-apply a witness.
+the claimed output up to cyclic equivalence.  The absorption witness is a
+chain of factors, applied in turn; the other witnesses are one
+substitution each.  Nested stages are private generators
+(``_normal_form_rounds``, ``_walk``) that yield their factors into the
+caller's one stream and keep their cheap invariant checks, but never
+re-apply a witness.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from math import inf
 import warnings
 
-from .endo import REndomorphism, limit_compose
+from .endo import REndomorphism, _limit_factors, limit_compose
 from .path_algebra import (
     Path,
     Potential,
@@ -202,9 +204,16 @@ def _compose_stream(stream, quiver, degree):
     return limit_compose(factors(), quiver, degree), result[0]
 
 
-def _reverify(phi, before, after, what):
-    """The one exact check of a public call: φ(before) is cyclically equivalent to after."""
-    if not is_cyclically_equivalent(phi.apply(before), after):
+def _reverify(factors, before, after, what):
+    """The one exact check of a public call: the factors, applied to before
+    in turn, give a potential cyclically equivalent to after.
+
+    Every rule image lies in the arrow ideal, so applying the factors in
+    turn equals applying their composite, exactly modulo the truncation.
+    """
+    for phi in factors:
+        before = phi.apply(before)
+    if not is_cyclically_equivalent(before, after):
         raise RuntimeError("%s failed exact re-verification" % what)
 
 
@@ -264,7 +273,7 @@ def g_normal_form(tq, z_pot, u_pot):
     if not u_pot.is_zero and phi.depth() < u_pot.short - 3:
         raise RuntimeError("witness depth below short(U) - 3")
     t_pot = potential_T(tq, d)
-    _reverify(phi, t_pot + z_pot + u_pot, t_pot + z_pot + w_pot, "normal-form witness")
+    _reverify((phi,), t_pot + z_pot + u_pot, t_pot + z_pot + w_pot, "normal-form witness")
     return phi, w_pot
 
 
@@ -366,7 +375,7 @@ def zeta_step(tq, x, m, t, u_pot, wd):
     zeta, u_prime, wd2 = _zeta_step(tq, xs, s_pot, m, t, u_pot, wd)
     before = s_pot + u_pot + _w_potential(tq, d, t, wd)
     after = s_pot + u_pot + u_prime + _w_potential(tq, d, t - 1, wd2)
-    _reverify(zeta, before, after, "step identity")
+    _reverify((zeta,), before, after, "step identity")
     return zeta, u_prime, wd2
 
 
@@ -407,7 +416,7 @@ def absorb_cycle(tq, x, m, t, u_pot, wd):
     if pi.depth() < min(m - 3, t + len(wd.c) - 1):  # short(W) - 3
         raise RuntimeError("absorption witness depth %s below bound" % pi.depth())
     before = s_pot + u_pot + _w_potential(tq, d, t, wd)
-    _reverify(pi, before, s_pot + u_pot + xi, "absorption witness")
+    _reverify((pi,), before, s_pot + u_pot + xi, "absorption witness")
     return pi, xi
 
 
@@ -448,7 +457,12 @@ def absorb_g_powers(tq, x, v_pot):
     any V made of second and higher powers of the two puncture cycles.
     Alternates the rim and hub punctures (larger valency first): divide the
     lowest surviving power into the base cycle's coefficient, then absorb
-    the pinched cycle this creates.  Returns the composite witness.
+    the pinched cycle this creates.
+
+    Returns the witness as its factor chain (υ₁, ζ…, φ…), a tuple in
+    application order: applying the factors in turn carries S+V to S, and
+    their composite is ``compose_all(factors, quiver, degree)``.  The
+    composite is never built; the chain is re-verified factor by factor.
     """
     _require_conditions(tq)
     q = tq.quiver
@@ -516,6 +530,6 @@ def absorb_g_powers(tq, x, v_pot):
             if not v.is_zero and v.short <= m:
                 raise RuntimeError("no progress: short stayed at %s" % v.short)
 
-    phi = limit_compose(factor_stream(), q, d)
-    _reverify(phi, s_pot + v_pot, s_pot, "absorption witness")
-    return phi
+    factors = _limit_factors(factor_stream(), d)
+    _reverify(factors, s_pot + v_pot, s_pot, "absorption witness")
+    return factors

@@ -330,7 +330,7 @@ class TestAbsorb:
         )
         assert code == 0
         assert "V terms: 0, short(V)=inf, D=20" in out
-        assert "endomorphism depth: inf, rules: 0" in out
+        assert "witness: 0 factors, min depth inf" in out
         assert "PASS carries S+V to S exactly" in out
 
     @pytest.mark.parametrize(
@@ -663,6 +663,18 @@ class TestMalformedInputFiles:
         f.write_text(json.dumps(content))
         out = _error_report(capsys, tmp_path, [str(f) if tok == "F" else tok for tok in argv])
         assert "ERROR: %s: malformed input: " % f in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["absorb", "--triangulation", "genus2p:1", "--x", "1", "--potential", "F",
+          "--degree", "12"], "{f}: malformed input: missing 'D'"),
+        (["jacobian-dim", "--qp", "F"], "{f}: malformed input: missing 'quiver'"),
+        (["quiver", "--triangulation", "F"], "not a triangulation: missing 'arcs', 'triangles'"),
+    ], ids=["potential", "qp", "triangulation"])
+    def test_missing_key_is_named(self, capsys, tmp_path, argv, message):
+        f = tmp_path / "input.json"
+        f.write_text("{}")
+        out = _error_report(capsys, tmp_path, [str(f) if tok == "F" else tok for tok in argv])
+        assert "ERROR: %s\n" % message.format(f=f) in out
 
     def test_float_coefficient_is_an_error(self, capsys, tmp_path, fig_tq):
         # a JSON number 0.1 is a binary float, not the rational 1/10

@@ -21,11 +21,18 @@ of it changed.  The report as it was, with ``phi``, is kept as
 ``golden/inputs/verify_flip_torus_arc2_n2.json``: its ``--recheck`` must end
 in a FAIL naming the two witness keys, not in a traceback.
 
-``golden/absorb_endo_digests.json`` pins the sha256 of the absorption
-witness (the composite endomorphism, as its report stores it) for hub²,
-rim² and rim² + c·hub³ on genus2p:1 at D = 32, computed before
-``compose_all`` became a right fold that reuses untouched rule images, so a
-change to how the composite is built must reproduce it bit for bit.
+The absorb report was rewritten when its witness became the factor chain
+(``factors``) in place of the composite ``endo``; of its witnesses only that
+key changed.  The report as it was, with ``endo``, is kept as
+``golden/inputs/absorb_genus2p1_d32.json``: its ``--recheck`` must end in a
+FAIL naming the two witness keys.
+
+``golden/absorb_endo_digests.json`` pins the sha256 of the composite
+absorption witness (as the report stored it under ``endo``) for hub², rim²
+and rim² + c·hub³ on genus2p:1 at D = 32, computed before ``compose_all``
+became a right fold that reuses untouched rule images, and of the old
+absorb report's ``endo``.  Composing the factors the report now carries
+must reproduce each bit for bit.
 
 ``golden/flip_phi_digests.json`` pins the sha256 of the flip composite
 φ4∘φ3∘φ2∘φ1 (as the report stored it under ``phi``) for torus arcs 1-3,
@@ -45,7 +52,7 @@ import pytest
 from qpsurf.cli import main, run_command, run_recheck
 from qpsurf.endo import REndomorphism, compose_all
 from qpsurf.qp_mutation import verify_flip_compatibility
-from qpsurf.surface import once_punctured_torus
+from qpsurf.surface import build_quiver, once_punctured_torus, twice_punctured_genus
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 REPORTS = sorted((pathlib.Path(__file__).parent / "golden" / "reports").glob("*.json"))
@@ -66,22 +73,51 @@ def test_recheck_reproduces_the_stored_report(path, monkeypatch):
     assert report.witnesses["fresh_outcome"] == "PASS"
 
 
+def _sha256(data):
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
 ABSORB_DIGESTS = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "absorb_endo_digests.json").read_text()
 )
 
 
-@pytest.mark.parametrize("label", sorted(ABSORB_DIGESTS))
+def _absorb_composite(witnesses):
+    """The composite of a genus2p:1 absorb report's factor chain, as the report stored ``endo``."""
+    tau = twice_punctured_genus(1)
+    assert witnesses["triangulation"] == tau.to_json_dict()
+    q = build_quiver(tau).quiver
+    factors = [REndomorphism.from_json_dict(q, data) for data in witnesses["factors"]]
+    return compose_all(factors, q, witnesses["degree"]).to_json_dict()
+
+
+@pytest.mark.parametrize("label", sorted(ABSORB_DIGESTS["cases"]))
 def test_absorption_witness_digest(label):
-    entry = ABSORB_DIGESTS[label]
+    entry = ABSORB_DIGESTS["cases"][label]
     report = run_command(entry["argv"])
     assert report.outcome == "PASS", report.details
-    endo = json.dumps(report.witnesses["endo"], sort_keys=True).encode()
-    assert hashlib.sha256(endo).hexdigest() == entry["endo_sha256"]
+    assert _sha256(_absorb_composite(report.witnesses)) == entry["endo_sha256"]
 
 
-def _sha256(data):
-    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+def test_stored_absorb_factors_compose_to_the_old_reports_endo():
+    stored = ABSORB_DIGESTS["stored_report"]
+    old = json.loads((REPO_ROOT / stored["path"]).read_text())
+    new = json.loads((REPO_ROOT / "tests/golden/reports/absorb_genus2p1_d32.json").read_text())
+    assert _sha256(old["witnesses"]["endo"]) == stored["endo_sha256"]
+    assert old["command"] == new["command"]
+    old_w, new_w = old["witnesses"], new["witnesses"]
+    assert {k: v for k, v in old_w.items() if k != "endo"} == {
+        k: v for k, v in new_w.items() if k != "factors"}
+    assert _sha256(_absorb_composite(new_w)) == stored["endo_sha256"]
+
+
+def test_old_format_absorb_report_rechecks_to_a_fail(monkeypatch, capsys):
+    monkeypatch.chdir(REPO_ROOT)
+    code = main(["--recheck", ABSORB_DIGESTS["stored_report"]["path"]])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL witnesses diverge at: endo, factors" in out
+    assert out.rstrip().endswith("OUTCOME: FAIL")
 
 
 FLIP_DIGESTS = json.loads(
