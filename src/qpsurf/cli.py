@@ -120,9 +120,18 @@ def _load_object(path, build):
     try:
         return build(data)
     except KeyError as exc:
-        raise ValueError("%s: malformed input: missing %r" % (path, exc.args[0])) from None
+        missing = ", ".join(map(repr, exc.args))
+        raise ValueError("%s: malformed input: missing %s" % (path, missing)) from None
     except (TypeError, AttributeError) as exc:
         raise ValueError("%s: malformed input: %s" % (path, exc)) from None
+
+
+def _triangulation(data):
+    """``Triangulation.from_json_dict``, with its missing keys raised as ``KeyError``."""
+    missing = [k for k in ("arcs", "triangles") if not isinstance(data, dict) or k not in data]
+    if missing:
+        raise KeyError(*missing)
+    return Triangulation.from_json_dict(data)
 
 
 def _is_builtin(spec):
@@ -135,7 +144,7 @@ def load_triangulation(spec):
     if spec is None:
         raise ValueError("no triangulation given: pass --triangulation (or --qp FILE)")
     if not _is_builtin(spec):
-        return _load_object(spec, Triangulation.from_json_dict)
+        return _load_object(spec, _triangulation)
     if spec == "torus":
         return once_punctured_torus()
     return twice_punctured_genus(int(spec.split(":", 1)[1]))
@@ -346,7 +355,7 @@ def cmd_mutate(args):
         "input": qp.to_json_dict(),
         "mutated": red.to_json_dict(),
         "premutated": witness.premutated.to_json_dict(),
-        "reduction_endo": witness.reduction.endo.to_json_dict(),
+        "reduction_factors": [f.to_json_dict() for f in witness.reduction.factors],
         "pairs": [list(p) for p in witness.reduction.pairs],
     }
     return "PASS", details, witnesses, timings
@@ -379,6 +388,12 @@ def cmd_verify_flip(args):
     return ("PASS" if report.ok else "FAIL"), details, witnesses, timings
 
 
+def _chain_summary(factors):
+    """The details text "N factors, min depth d" of a witness chain (inf when empty)."""
+    depth = min((f.depth() for f in factors), default=float("inf"))
+    return "%d factors, min depth %s" % (len(factors), depth)
+
+
 def cmd_normalize(args):
     tau, tq = _surface(args.triangulation)
     q = tq.quiver
@@ -407,16 +422,16 @@ def cmd_normalize(args):
     runs = []
     t0 = time.perf_counter()
     for i, u_pot in enumerate(us):
-        phi, w_pot = g_normal_form(tq, z_pot, u_pot)
+        factors, w_pot = g_normal_form(tq, z_pot, u_pot)
         details.append(
-            "PASS run %d: short(U)=%s -> short(W)=%s depth=%s"
-            % (i, u_pot.short, w_pot.short, phi.depth())
+            "PASS run %d: short(U)=%s -> short(W)=%s, %s"
+            % (i, u_pot.short, w_pot.short, _chain_summary(factors))
         )
         runs.append(
             {
                 "u": u_pot.to_json_dict(),
                 "w": w_pot.to_json_dict(),
-                "endo": phi.to_json_dict(),
+                "factors": [f.to_json_dict() for f in factors],
                 "exact": True,
             }
         )
@@ -471,8 +486,7 @@ def cmd_absorb(args):
     timings = {"absorb": time.perf_counter() - t0}
     details = [
         "V terms: %d, short(V)=%s, D=%d" % (len(v_pot.terms), v_pot.short, degree),
-        "witness: %d factors, min depth %s"
-        % (len(factors), min((f.depth() for f in factors), default=float("inf"))),
+        "witness: " + _chain_summary(factors),
         "PASS carries S+V to S exactly",
     ]
     witnesses = {

@@ -24,34 +24,6 @@ from .path_algebra import (
 )
 
 
-def _checked_image(quiver, degree, name, img):
-    """``img`` truncated to ``degree``, once it passes the checks every rule image must pass."""
-    if not quiver.has_arrow(name):
-        raise ValueError("rule for unknown arrow %r" % (name,))
-    a = quiver.arrow(name)
-    if img.quiver != quiver:
-        raise ValueError("rule image lives on a different quiver")
-    if img.degree < degree:
-        raise ValueError("rule for %r is only known modulo degree %d < %d"
-                         % (name, img.degree, degree))
-    img = img.truncate(degree)
-    for p in img.terms:
-        if not p.arrows:
-            raise ValueError("rule for %r has a length-0 term: images must lie in the "
-                             "arrow ideal" % (name,))
-        if quiver.path_tail(p) != a.tail or quiver.path_head(p) != a.head:
-            raise ValueError("rule for %r contains a path with wrong endpoints: %r" % (name, p))
-    return img
-
-
-def _read_only(img, copy):
-    """``img`` with read-only terms: a copy's if ``copy``, else its own, which no one else holds."""
-    if copy or type(img.terms) is not MappingProxyType:
-        terms = dict(img.terms) if copy else img.terms
-        img = img._raw(img.quiver, img.degree, MappingProxyType(terms))
-    return img
-
-
 def _expansion(name, img):
     """One rule's table entry: (unit coefficient, δ, terms as (length, word, coeff) by length).
 
@@ -73,7 +45,7 @@ class REndomorphism:
 
     ``rules`` and its images' terms are read-only, the caller's images
     copied, so the expansion table built from them (one ``_expansion``
-    entry per rule, each built once, on first use) cannot go stale.
+    entry per rule) cannot go stale.
     """
 
     __slots__ = ("quiver", "degree", "rules", "_table")
@@ -82,25 +54,37 @@ class REndomorphism:
         degree = int(degree)
         if degree < 0:
             raise ValueError("negative truncation degree")
-        self._adopt(quiver, degree, {name: _checked_image(quiver, degree, name, img)
-                                     for name, img in (rules or {}).items()}, {}, copy=True)
-
-    def _adopt(self, quiver, degree, images, table, copy=False):
-        """Keep the checked non-identity images, read-only, and the table built so far."""
         self.quiver, self.degree = quiver, degree
-        self.rules = MappingProxyType({
-            name: _read_only(img, copy) for name, img in images.items()
-            if len(img.terms) != 1 or img.terms.get(Path((name,))) != 1
-        })
-        self._table = table
+        images = {}
+        for name, img in (rules or {}).items():
+            if not quiver.has_arrow(name):
+                raise ValueError("rule for unknown arrow %r" % (name,))
+            a = quiver.arrow(name)
+            if img.quiver != quiver:
+                raise ValueError("rule image lives on a different quiver")
+            if img.degree < degree:
+                raise ValueError("rule for %r is only known modulo degree %d < %d"
+                                 % (name, img.degree, degree))
+            img = img.truncate(degree)
+            for p in img.terms:
+                if not p.arrows:
+                    raise ValueError("rule for %r has a length-0 term: images must lie in "
+                                     "the arrow ideal" % (name,))
+                if quiver.path_tail(p) != a.tail or quiver.path_head(p) != a.head:
+                    raise ValueError("rule for %r contains a path with wrong endpoints: %r"
+                                     % (name, p))
+            if len(img.terms) != 1 or img.terms.get(Path((name,))) != 1:
+                images[name] = img._raw(quiver, degree, MappingProxyType(dict(img.terms)))
+        self.rules = MappingProxyType(images)
+        self._table = None
 
     def _expansions(self):
-        """The expansion table, completed on first use: an endomorphism that
-        is never applied, nor the outer side of ``compose``, never needs it."""
-        table = self._table
-        for name in self.rules.keys() - table.keys():
-            table[name] = _expansion(name, self.rules[name])
-        return table
+        """The expansion table, built on first use: an endomorphism that is
+        never applied (a stored factor read back to be composed, say) never
+        needs it."""
+        if self._table is None:
+            self._table = {name: _expansion(name, img) for name, img in self.rules.items()}
+        return self._table
 
     @classmethod
     def identity(cls, quiver, degree):
@@ -322,31 +306,19 @@ def _rank(mat):
 def compose(outer, inner):
     """The composite outer ∘ inner (inner substitutes first).
 
-    An arrow that ``inner`` leaves alone goes to outer's image of it,
-    truncated to the composite's degree.  That image is reused as it is,
-    with its table entry when the degree stays the same: it passed the
-    constructor's checks when ``outer`` was built, and truncating keeps
-    them.  Only inner's own images go through ``outer.apply``; those new
-    images get the constructor's checks (endpoints, no length-0 term), and
-    identity images are dropped.  The result is exact modulo the
+    Each arrow goes to outer applied to inner's image of it: to
+    ``outer.apply`` of inner's own images, and to outer's image, truncated
+    to the composite's degree, where inner leaves the arrow alone.  The
+    constructor checks every image.  The result is exact modulo the
     truncation because every rule image lies in the arrow ideal: a
     substituted word never gets shorter, so truncating inner's images
     first drops nothing the composite would keep.
     """
     if outer.quiver != inner.quiver:
         raise ValueError("endomorphisms live on different quivers")
-    d = min(outer.degree, inner.degree)
-    images = {name: _checked_image(outer.quiver, d, name, outer.apply(img))
-              for name, img in inner.rules.items()}
-    table = {}
-    for name, img in outer.rules.items():
-        if name not in images:
-            images[name] = img.truncate(d)
-            if d == outer.degree and name in outer._table:
-                table[name] = outer._table[name]
-    out = REndomorphism.__new__(REndomorphism)
-    out._adopt(outer.quiver, d, images, table)
-    return out
+    images = dict(outer.rules)
+    images.update((name, outer.apply(img)) for name, img in inner.rules.items())
+    return REndomorphism(outer.quiver, min(outer.degree, inner.degree), images)
 
 
 def invert_unitriangular(phi):
@@ -381,15 +353,17 @@ def invert_unitriangular(phi):
 def compose_all(factors, quiver, degree):
     """Compose a list of substitutions, latest applied last (...∘φ2∘φ1).
 
-    A right fold from the outermost factor: ψ starts as the last factor
-    and becomes ψ ∘ φ_k for k from the second-to-last back to the first.
-    Each step pushes only φ_k's own images (usually one short image)
-    through ψ and keeps ψ's other images as they are (see ``compose``),
-    so every image of the composite is built once.  The order of the fold
-    does not change the result: every rule image lies in the arrow ideal
-    (checked by ``REndomorphism``), so a substituted word never gets
-    shorter, truncating an intermediate drops nothing the composite would
-    keep, and composition is exactly associative modulo the truncation.
+    No stage of the engine builds a composite: each keeps its witness as
+    the factor chain and applies the factors in turn.  This fold is the
+    reference a chain is checked against.  It is a right fold from the
+    outermost factor: ψ starts as the last factor and becomes ψ ∘ φ_k for
+    k from the second-to-last back to the first, so each step pushes only
+    φ_k's own images (usually one short image) through ψ.  The order of
+    the fold does not change the result: every rule image lies in the
+    arrow ideal (checked by ``REndomorphism``), so a substituted word never
+    gets shorter, truncating an intermediate drops nothing the composite
+    would keep, and composition is exactly associative modulo the
+    truncation.
     """
     factors = list(factors)
     if not factors:
@@ -435,9 +409,9 @@ def limit_compose(factors, quiver, degree):
     """Compose a stream of substitutions until the tail stops mattering.
 
     The composite ...∘φ2∘φ1 of the factors ``_limit_factors`` collects from
-    the stream (latest factor applied last).  Applying those factors in
-    turn gives the same result as applying the composite, exactly modulo
-    the truncation, so a caller that only applies its witness can keep the
-    factors and skip this fold.
+    the stream (latest factor applied last).  No stage of the engine calls
+    it: each collects its factors with ``_limit_factors`` and applies them
+    in turn, which gives the same result as applying this composite,
+    exactly modulo the truncation.
     """
     return compose_all(_limit_factors(factors, degree), quiver, degree)

@@ -1,6 +1,6 @@
 """Right-equivalence normalization pipeline for surface potentials.
 
-Every operation here returns the substitution that realizes its claim.
+Every operation here returns the substitutions that realize its claim.
 All stages are truncation-exact: nothing of length ≤ D is silently
 dropped, and each stage checks its own inequality contract and fails
 loudly otherwise.
@@ -15,12 +15,13 @@ two-puncture family, leaving the bare weighted-cycle potential.
 
 Each public function re-verifies its witness exactly once, just before it
 returns: it applies the witness to the input and compares the result with
-the claimed output up to cyclic equivalence.  The absorption witness is a
-chain of factors, applied in turn; the other witnesses are one
-substitution each.  Nested stages are private generators
-(``_normal_form_rounds``, ``_walk``) that yield their factors into the
-caller's one stream and keep their cheap invariant checks, but never
-re-apply a witness.
+the claimed output up to cyclic equivalence.  A multi-step witness is its
+chain of factors, in application order, applied in turn; a one-step
+witness (the triangle rescaling, a lengthening trade, a ζ-step) is one
+substitution.  No stage builds a composite.  Nested stages are private
+generators (``_normal_form_rounds``, ``_walk``) that yield their factors
+into the caller's one stream and keep their cheap invariant checks, but
+never re-apply a witness.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 from math import inf
 import warnings
 
-from .endo import REndomorphism, _limit_factors, limit_compose
+from .endo import REndomorphism, _limit_factors
 from .path_algebra import (
     Path,
     Potential,
@@ -190,18 +191,18 @@ def lengthen(tq, symbol, w_pot, a_pot):
     return phi, b_pot
 
 
-def _compose_stream(stream, quiver, degree):
-    """Compose the factors a stage generator yields; return (composite, its result).
+def _run_stage(stream, degree):
+    """Collect the factors a stage generator yields; return (factors, its result).
 
     No factor of a stage is the identity, so each has depth below the degree
-    and ``limit_compose`` runs the stream to its end.
+    and ``_limit_factors`` runs the stream to its end.
     """
     result = []
 
     def factors():
         result.append((yield from stream))
 
-    return limit_compose(factors(), quiver, degree), result[0]
+    return _limit_factors(factors(), degree), result[0]
 
 
 def _reverify(factors, before, after, what):
@@ -260,21 +261,24 @@ def _normal_form_rounds(tq, z_pot, u_pot):
 def g_normal_form(tq, z_pot, u_pot):
     """Iterate the lengthening trade until only puncture-cycle powers remain.
 
-    Returns (φ, W) with φ unitriangular of depth ≥ short(U) − 3 carrying
-    T+Z+U to T+Z+W, where W involves only positive powers of the puncture
-    cycles and short(W) ≥ short(U).  Z rides along untouched as a label;
-    its substitution dust is recycled into the loop state.
+    Returns (factors, W): the lengthening substitutions in application
+    order, each unitriangular of depth ≥ short(U) − 3, which applied in
+    turn carry T+Z+U to T+Z+W, where W involves only positive powers of the
+    puncture cycles and short(W) ≥ short(U).  Their composite is
+    ``compose_all(factors, quiver, degree)``.  Z rides along untouched as a
+    label; its substitution dust is recycled into the loop state.
     """
     _require_conditions(tq)
     d = min(z_pot.degree, u_pot.degree)
     z_pot = z_pot.truncate(d)
     u_pot = u_pot.truncate(d)
-    phi, w_pot = _compose_stream(_normal_form_rounds(tq, z_pot, u_pot), tq.quiver, d)
-    if not u_pot.is_zero and phi.depth() < u_pot.short - 3:
+    factors, w_pot = _run_stage(_normal_form_rounds(tq, z_pot, u_pot), d)
+    # the composite's depth is at least the least factor depth
+    if not u_pot.is_zero and min((f.depth() for f in factors), default=inf) < u_pot.short - 3:
         raise RuntimeError("witness depth below short(U) - 3")
     t_pot = potential_T(tq, d)
-    _reverify((phi,), t_pot + z_pot + u_pot, t_pot + z_pot + w_pot, "normal-form witness")
-    return phi, w_pot
+    _reverify(factors, t_pot + z_pot + u_pot, t_pot + z_pot + w_pot, "normal-form witness")
+    return factors, w_pot
 
 
 # ----------------------------------------------------------------------
@@ -405,19 +409,21 @@ def absorb_cycle(tq, x, m, t, u_pot, wd):
     """Walk W all the way around (t steps) and normalize what accumulates.
 
     Requires c to be a single arrow so the walk terminates exactly at
-    t = 0.  Returns (Π, ξ): a unitriangular witness of depth
-    ≥ min(m−3, short(W)−3) carrying S+U+W to S+U+ξ, with ξ a sum of
-    puncture-cycle powers, short(ξ) > m.
+    t = 0.  Returns (factors, ξ): the ζ-steps and then the normal-form
+    factors, in application order, each unitriangular of depth
+    ≥ min(m−3, short(W)−3), which applied in turn carry S+U+W to S+U+ξ,
+    with ξ a sum of puncture-cycle powers, short(ξ) > m.
     """
     d = u_pot.degree
     xs = _coerce_x(tq, x)
     s_pot = potential_S(tq, xs, d)
-    pi, xi = _compose_stream(_walk(tq, xs, s_pot, m, t, u_pot, wd), tq.quiver, d)
-    if pi.depth() < min(m - 3, t + len(wd.c) - 1):  # short(W) - 3
-        raise RuntimeError("absorption witness depth %s below bound" % pi.depth())
+    factors, xi = _run_stage(_walk(tq, xs, s_pot, m, t, u_pot, wd), d)
+    depth = min((f.depth() for f in factors), default=inf)
+    if depth < min(m - 3, t + len(wd.c) - 1):  # short(W) - 3
+        raise RuntimeError("absorption witness depth %s below bound" % depth)
     before = s_pot + u_pot + _w_potential(tq, d, t, wd)
-    _reverify((pi,), before, s_pot + u_pot + xi, "absorption witness")
-    return pi, xi
+    _reverify(factors, before, s_pot + u_pot + xi, "absorption witness")
+    return factors, xi
 
 
 # ----------------------------------------------------------------------

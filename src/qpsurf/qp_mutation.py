@@ -3,8 +3,8 @@
 Premutation reverses the arrows at the chosen vertex, adds a composite
 arrow for every length-2 path through it, and rewrites the potential in
 terms of the composites.  Reduction then splits off the trivial part — the
-2-cycles the premutation created — by an explicit change of variables,
-returning the witness automorphism alongside the reduced quiver with
+2-cycles the premutation created — by explicit changes of variables,
+returning them as the witness alongside the reduced quiver with
 potential so the split can be re-verified.
 
 ``verify_flip_compatibility`` ties this to the surface geometry: mutating
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .endo import REndomorphism, compose
+from .endo import REndomorphism
 from .path_algebra import (
     Arrow,
     Path,
@@ -156,19 +156,22 @@ def premutate(qp, k):
 class ReductionWitness:
     """Everything needed to re-verify a reduction independently.
 
-    ``endo`` acts on the input quiver and carries the input potential to
-    ``trivial + embedded_reduced`` up to cyclic equivalence; deleting the
-    paired arrows then yields the reduced QP.
+    ``factors`` act on the input quiver and, applied in turn, carry the
+    input potential to ``trivial + embedded_reduced`` up to cyclic
+    equivalence; deleting the paired arrows then yields the reduced QP.
+    Their composite is ``compose_all(factors, quiver, degree)``.
     """
 
-    endo: REndomorphism
+    factors: tuple
     pairs: tuple
     trivial: Potential
     embedded_reduced: Potential
     removed: tuple
 
     def recheck(self, qp):
-        got = self.endo.apply(qp.potential)
+        got = qp.potential
+        for phi in self.factors:
+            got = phi.apply(got)
         return is_cyclically_equivalent(got, self.trivial + self.embedded_reduced)
 
 
@@ -182,21 +185,20 @@ def reduce(qp):
     First a linear change of arrows over the rationals turns the degree-2
     part into a sum of distinct-pair 2-cycles with coefficient 1; then
     repeated substitutions push every longer occurrence of a paired arrow
-    above the truncation degree.  The paired arrows are deleted from the
-    output.  Fails loudly if the iteration has not stabilized after D
-    rounds.
+    above the truncation degree.  The witness keeps these substitutions in
+    the order applied.  The paired arrows are deleted from the output.
+    Fails loudly if the iteration has not stabilized after D rounds.
     """
     q = qp.quiver
     d = qp.degree
     pot = qp.potential
-    total = REndomorphism.identity(q, d)
+    factors = []
     pairs = []
 
     def record(rules):
-        nonlocal total, pot
-        phi = REndomorphism(q, d, rules)
-        pot = phi.apply(pot)
-        total = compose(phi, total)
+        nonlocal pot
+        factors.append(REndomorphism(q, d, rules))
+        pot = factors[-1].apply(pot)
 
     # Linear normalization: pick 2-cycle pivots in canonical order and
     # clean their rows and columns, recomputing after each pivot so the
@@ -289,7 +291,7 @@ def reduce(qp):
         red_q, d, {red_q.path(p.arrows): z for p, z in embedded.terms.items()}
     )
     witness = ReductionWitness(
-        endo=total,
+        factors=tuple(factors),
         pairs=pairs,
         trivial=trivial,
         embedded_reduced=embedded,

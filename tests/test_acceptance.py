@@ -112,8 +112,11 @@ def test_criterion_3_g_normal_form_random_potentials():
         u_pot = cli.random_cycle_potential(tq, degree, random.Random(0 + i))
         if not (4 <= u_pot.short <= 6):
             continue
-        phi, w_pot = g_normal_form(tq, zero, u_pot)
-        exact = is_cyclically_equivalent(phi.apply(t_pot + u_pot), t_pot + w_pot)
+        factors, w_pot = g_normal_form(tq, zero, u_pot)
+        out = t_pot + u_pot
+        for phi in factors:
+            out = phi.apply(out)
+        exact = is_cyclically_equivalent(out, t_pot + w_pot)
         parts = split(tq, w_pot)
         g_only = parts.s_f.is_zero and parts.s_fg.is_zero
         grew = w_pot.is_zero or w_pot.short >= u_pot.short

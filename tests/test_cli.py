@@ -84,7 +84,7 @@ class TestBuild:
         run(capsys, "--report", str(rpt), "build", "torus")
         code, out = run(capsys, "quiver", "--triangulation", str(rpt))
         assert code == 2
-        assert "ERROR: not a triangulation: missing 'arcs', 'triangles'\n" in out
+        assert "ERROR: %s: malformed input: missing 'arcs', 'triangles'\n" % rpt in out
         tri = tmp_path / "tri.json"
         tri.write_text(json.dumps(json.loads(rpt.read_text())["witnesses"]["triangulation"]))
         code, out = run(capsys, "quiver", "--triangulation", str(tri))
@@ -668,7 +668,7 @@ class TestMalformedInputFiles:
         (["absorb", "--triangulation", "genus2p:1", "--x", "1", "--potential", "F",
           "--degree", "12"], "{f}: malformed input: missing 'D'"),
         (["jacobian-dim", "--qp", "F"], "{f}: malformed input: missing 'quiver'"),
-        (["quiver", "--triangulation", "F"], "not a triangulation: missing 'arcs', 'triangles'"),
+        (["quiver", "--triangulation", "F"], "{f}: malformed input: missing 'arcs', 'triangles'"),
     ], ids=["potential", "qp", "triangulation"])
     def test_missing_key_is_named(self, capsys, tmp_path, argv, message):
         f = tmp_path / "input.json"

@@ -9,10 +9,11 @@ the potential (torus with n = 2, genus2p:1), ``jacobian-dim --table``,
 quiver and build reports before the two weighted-cycle builders became one
 and before ``build_quiver`` lost its arrow-name override, and the mutate
 report (vertex 1 of S(τ, (1, 1)) on genus2p:1 at D = 12, whose reduction
-witness comes from ``apply`` and ``compose``) before ``apply`` became one
-expansion loop over images in the arrow ideal.  ``--recheck`` re-runs its
-command and compares outcome and witnesses, so a change that alters any
-witness fails here.  Stored commands name input files relative to the
+witness comes from ``apply``) before ``apply`` became one expansion loop
+over images in the arrow ideal; the normalize and mutate reports have
+since been rewritten in the factor-chain form (see below).  ``--recheck``
+re-runs its command and compares outcome and witnesses, so a change that
+alters any witness fails here.  Stored commands name input files relative to the
 repository root (``golden/inputs``), so the recheck runs there.
 
 The verify-flip report was rewritten when its witness became the four
@@ -26,6 +27,16 @@ The absorb report was rewritten when its witness became the factor chain
 key changed.  The report as it was, with ``endo``, is kept as
 ``golden/inputs/absorb_genus2p1_d32.json``: its ``--recheck`` must end in a
 FAIL naming the two witness keys.
+
+The normalize and mutate reports were rewritten when every multi-step
+witness became its factor chain: each normalize run stores ``factors`` in
+place of its composite ``endo`` (and its details line names the chain), and
+the mutate report stores ``reduction_factors`` in place of
+``reduction_endo``.  The reports as they were are kept under
+``golden/inputs`` with the same names; their ``--recheck`` must end in a
+FAIL naming the diverging keys.  ``golden/chain_composite_digests.json``
+pins the sha256 of each old composite, computed while the engine still
+built it; composing the stored factors must reproduce each bit for bit.
 
 ``golden/absorb_endo_digests.json`` pins the sha256 of the composite
 absorption witness (as the report stored it under ``endo``) for hub², rim²
@@ -51,7 +62,7 @@ import pytest
 
 from qpsurf.cli import main, run_command, run_recheck
 from qpsurf.endo import REndomorphism, compose_all
-from qpsurf.qp_mutation import verify_flip_compatibility
+from qpsurf.qp_mutation import QP, verify_flip_compatibility
 from qpsurf.surface import build_quiver, once_punctured_torus, twice_punctured_genus
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -117,6 +128,65 @@ def test_old_format_absorb_report_rechecks_to_a_fail(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL witnesses diverge at: endo, factors" in out
+    assert out.rstrip().endswith("OUTCOME: FAIL")
+
+
+CHAIN_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "chain_composite_digests.json").read_text()
+)
+
+
+def _stored_pair(kind):
+    """(old witnesses, new witnesses) of a rewritten report, with its commands checked equal."""
+    entry = CHAIN_DIGESTS[kind]
+    old = json.loads((REPO_ROOT / entry["path"]).read_text())
+    new = json.loads((REPO_ROOT / entry["report"]).read_text())
+    assert old["command"] == new["command"]
+    assert old["outcome"] == new["outcome"] == "PASS"
+    return old["witnesses"], new["witnesses"]
+
+
+def test_stored_normalize_factors_compose_to_the_old_reports_endo():
+    old_w, new_w = _stored_pair("normalize")
+    want = CHAIN_DIGESTS["normalize"]["endo_sha256"]
+    assert [_sha256(run["endo"]) for run in old_w["runs"]] == want
+    assert {k: v for k, v in old_w.items() if k != "runs"} == {
+        k: v for k, v in new_w.items() if k != "runs"}
+    tau = twice_punctured_genus(1)
+    assert new_w["triangulation"] == tau.to_json_dict()
+    q = build_quiver(tau).quiver
+    assert len(new_w["runs"]) == len(want)
+    for old_run, new_run, digest in zip(old_w["runs"], new_w["runs"], want):
+        assert {k: v for k, v in old_run.items() if k != "endo"} == {
+            k: v for k, v in new_run.items() if k != "factors"}
+        factors = [REndomorphism.from_json_dict(q, data) for data in new_run["factors"]]
+        assert factors
+        assert _sha256(compose_all(factors, q, new_w["degree"]).to_json_dict()) == digest
+
+
+def test_stored_reduction_factors_compose_to_the_old_reports_endo():
+    old_w, new_w = _stored_pair("mutate")
+    want = CHAIN_DIGESTS["mutate"]["reduction_endo_sha256"]
+    assert _sha256(old_w["reduction_endo"]) == want
+    assert {k: v for k, v in old_w.items() if k != "reduction_endo"} == {
+        k: v for k, v in new_w.items() if k != "reduction_factors"}
+    pre = QP.from_json_dict(new_w["premutated"])
+    factors = [REndomorphism.from_json_dict(pre.quiver, data)
+               for data in new_w["reduction_factors"]]
+    assert len(factors) == 2
+    assert _sha256(compose_all(factors, pre.quiver, pre.degree).to_json_dict()) == want
+
+
+@pytest.mark.parametrize("kind, keys", [
+    ("normalize", "runs"),
+    ("mutate", "reduction_endo, reduction_factors"),
+])
+def test_old_format_chain_reports_recheck_to_a_fail(monkeypatch, capsys, kind, keys):
+    monkeypatch.chdir(REPO_ROOT)
+    code = main(["--recheck", CHAIN_DIGESTS[kind]["path"]])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL witnesses diverge at: %s\n" % keys in out
     assert out.rstrip().endswith("OUTCOME: FAIL")
 
 

@@ -5,15 +5,19 @@ by hand, which pins down the naming conventions (composites "[ba]",
 reversed arrows "a*") as well as the arithmetic.
 """
 
+import dataclasses
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
-from qpsurf.endo import compose_all
+from qpsurf.endo import REndomorphism, compose_all
 from qpsurf.path_algebra import (
     Path,
     Potential,
     Quiver,
+    TruncatedElement,
     is_cyclically_equivalent,
 )
 from qpsurf.qp_mutation import (
@@ -31,6 +35,9 @@ from qpsurf.surface import (
     potential_S,
     twice_punctured_genus,
 )
+
+
+GOLDEN_QP = pathlib.Path(__file__).parent / "golden" / "inputs" / "qp_genus2p1_d12.json"
 
 
 def torus_qp(x=1, n=1, degree=None):
@@ -115,13 +122,16 @@ class TestReduce:
             assert witness.trivial.coefficient(pre.quiver.path((w0, w1))) == 1
         assert witness.recheck(pre)
         total = witness.trivial + witness.embedded_reduced
-        assert is_cyclically_equivalent(witness.endo.apply(pre.potential), total)
+        got = pre.potential
+        for phi in witness.factors:
+            got = phi.apply(got)
+        assert is_cyclically_equivalent(got, total)
 
     def test_already_reduced_is_untouched(self):
         qp = torus_qp()
         red, witness = reduce(qp)
         assert witness.pairs == ()
-        assert witness.endo.is_identity
+        assert witness.factors == ()
         assert red.quiver == qp.quiver
         assert red.potential == qp.potential
 
@@ -139,6 +149,46 @@ class TestReduce:
         pot = Potential(q, 6, {q.path(("x", "y")): 1, q.path(("z", "z")): 1})
         with pytest.raises(ValueError, match="repeated-arrow class"):
             reduce(QP(q, pot))
+
+
+class TestReductionChain:
+    """The reduction witness is its factor chain; a broken chain fails both rechecks."""
+
+    @pytest.fixture
+    def mutated(self):
+        qp = QP.from_json_dict(json.loads(GOLDEN_QP.read_text()))
+        red, witness = mutate(qp, 1)
+        assert len(witness.reduction.factors) == 2
+        assert witness.recheck(qp, 1)
+        assert witness.reduction.recheck(witness.premutated)
+        return qp, witness
+
+    @staticmethod
+    def with_factors(witness, factors):
+        reduction = dataclasses.replace(witness.reduction, factors=tuple(factors))
+        return dataclasses.replace(witness, reduction=reduction)
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_dropping_a_factor_fails(self, mutated, i):
+        qp, witness = mutated
+        factors = list(witness.reduction.factors)
+        del factors[i]
+        broken = self.with_factors(witness, factors)
+        assert not broken.reduction.recheck(witness.premutated)
+        assert not broken.recheck(qp, 1)
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_doubling_a_correction_fails(self, mutated, i):
+        qp, witness = mutated
+        factors = list(witness.reduction.factors)
+        phi = factors[i]
+        factors[i] = REndomorphism(phi.quiver, phi.degree, {
+            name: img + img - TruncatedElement.from_arrow(phi.quiver, phi.degree, name)
+            for name, img in phi.rules.items()
+        })
+        broken = self.with_factors(witness, factors)
+        assert not broken.reduction.recheck(witness.premutated)
+        assert not broken.recheck(qp, 1)
 
 
 class TestMutate:

@@ -38,3 +38,28 @@ def test_benchmark_tracer_finds_every_boundary():
         t.uninstall()
     assert qpsurf.jacobian._install is install
     assert qpsurf.jacobian._Kills.add is add
+
+
+COMPOSERS = {"compose", "compose_all", "limit_compose"}
+
+
+def test_no_stage_builds_a_composite():
+    # Every multi-step witness is kept as its factor chain and applied in
+    # turn, so only endo.py composes.  The package's __init__.py may import
+    # the composers to re-export them, but calls none.
+    found = {}
+    for path in SOURCES:
+        if path.name == "endo.py":
+            continue
+        hits = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                hits += [(node.lineno, a.name) for a in node.names if a.name in COMPOSERS]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in COMPOSERS:
+                    hits.append((node.lineno, name))
+        found[path.name] = hits
+    assert "qp_mutation.py" in found and "normalize.py" in found
+    assert not any(found.values()), {name: hits for name, hits in found.items() if hits}
