@@ -4,7 +4,8 @@ For the potential T + x*(puncture cycle)^n the quotient by the cyclic
 derivatives is finite dimensional, and its dimension grows with the
 cycle power n.  Each row below is certified: past the reported length
 every path reduces to shorter ones, so the dimension is exact, not an
-artifact of the truncation window.
+artifact of the truncation window.  Column D is the degree the
+certificate was found at, the lowest one that certifies.
 
 Run with:  python3 demos/dimension_growth.py
 """
@@ -19,18 +20,18 @@ print("puncture valency m = %d" % m)
 print()
 print("n   D    dim   n*m-2   certified through length")
 for n in (1, 2, 3):
-    degree = 6 * n + 6
-    qp = QP(tq.quiver, potential_S(tq, 1, degree, n=n))
-    quo, certified = quotient_dimension(qp, degree)
+    # truncated at n*m + 6; quotient_dimension certifies at the lowest
+    # degree that does, from the longest Jacobian generator + 2 upwards
+    qp = QP(tq.quiver, potential_S(tq, 1, n * m + 6, n=n))
+    quo, certified = quotient_dimension(qp)
     print(
         "%-3d %-4d %-5d %-7d %s"
-        % (n, degree, quo.dimension, n * m - 2,
+        % (n, quo.degree, quo.dimension, n * m - 2,
            quo.certificate_length if certified else "NOT CERTIFIED")
     )
 print()
 print("per-degree slice sizes at n = 1:")
-qp = QP(tq.quiver, potential_S(tq, 1, 12))
-quo, _ = quotient_dimension(qp, 12)
+quo, _ = quotient_dimension(QP(tq.quiver, potential_S(tq, 1, 12)))
 for length, count in enumerate(quo.per_degree):
     if count:
         print("  length %d: %d" % (length, count))

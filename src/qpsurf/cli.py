@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .endo import REndomorphism
-from .jacobian import g_path_independence_check, jacobian_generators, quotient_dimension
+from .jacobian import g_path_independence_check, quotient_dimension
 from .normalize import absorb_g_powers, g_normal_form
 from .path_algebra import (
     Path,
@@ -111,12 +111,14 @@ def _load_json(path):
 def _load_object(path, build):
     """Read a JSON input file and build an object from it.
 
-    JSON of the wrong shape (a number where a list belongs, say) makes
-    ``from_json_dict`` raise ``TypeError`` or ``AttributeError``, and JSON
-    without a key it reads raises ``KeyError``; each becomes a
-    ``ValueError`` naming the file (and the missing key), so it ends in ERROR.
+    A top level that is not an object, JSON of the wrong shape (a number
+    where a list belongs, say: ``TypeError`` or ``AttributeError``) and JSON
+    without a key ``build`` reads (``KeyError``) each become a ``ValueError``
+    naming the file (and the missing key), so they end in ERROR.
     """
     data = _load_json(path)
+    if not isinstance(data, dict):
+        raise ValueError("%s: malformed input: expected a JSON object" % path)
     try:
         return build(data)
     except KeyError as exc:
@@ -128,7 +130,7 @@ def _load_object(path, build):
 
 def _triangulation(data):
     """``Triangulation.from_json_dict``, with its missing keys raised as ``KeyError``."""
-    missing = [k for k in ("arcs", "triangles") if not isinstance(data, dict) or k not in data]
+    missing = [k for k in ("arcs", "triangles") if k not in data]
     if missing:
         raise KeyError(*missing)
     return Triangulation.from_json_dict(data)
@@ -554,7 +556,7 @@ def cmd_classify(args):
 
 
 def _jacobian_qp(tq, x, n, degree):
-    """QP(S(τ, x, n)) truncated at ``degree``, by default n·m + 6 for the largest valency m."""
+    """QP(S(τ, x, n)) truncated at ``degree``, by default n·m + 6 (m the largest valency)."""
     if degree is None:
         degree = n * max(p.valency for p in tq.punctures) + 6
     return QP(tq.quiver, potential_S(tq, x, degree, n=n))
@@ -580,7 +582,7 @@ def _jacobian_table(args):
     for n in range(1, args.table + 1):
         qp = _jacobian_qp(tq, x, n, args.degree)
         t0 = time.perf_counter()
-        quot, certified = quotient_dimension(qp, qp.degree)
+        quot, certified = quotient_dimension(qp, args.degree)
         timings["n=%d" % n] = time.perf_counter() - t0
         bound = n * m - 2
         row_ok = certified and quot.dimension >= bound
@@ -589,7 +591,7 @@ def _jacobian_table(args):
         rows.append(dict(_quotient_entries(quot), n=n, bound=bound))
         details.append(
             "%-3d %-4d %-5d %-11s %d %s"
-            % (n, qp.degree, quot.dimension, certified, bound, "ok" if row_ok else "VIOLATED")
+            % (n, quot.degree, quot.dimension, certified, bound, "ok" if row_ok else "VIOLATED")
         )
     witnesses = {"rows": rows, "x": _x_inputs(x), "valency": m}
     return ("PASS" if ok else "FAIL"), details, witnesses, timings
@@ -602,28 +604,19 @@ def cmd_jacobian_dim(args):
         _reject_ignored(args, "--qp", ("triangulation", "x", "n"))
         qp = _load_object(args.qp, QP.from_json_dict)
         tq = n = None
-        degrees = [qp.degree if args.degree is None else args.degree]
         witnesses = {"qp": qp.to_json_dict()}
     else:
         tau, tq = _surface(args.triangulation)
         x = parse_x(args.x)
         n = 1 if args.n is None else args.n
         qp = _jacobian_qp(tq, x, n, args.degree)
-        degrees = [qp.degree]
-        if args.degree is None:
-            # the lowest degree that certifies, up to the table's own default
-            maxgen = max(g.max_length() for g in jacobian_generators(qp))
-            degrees = range(maxgen + 2, qp.degree + 1)
         witnesses = {"triangulation": tau.to_json_dict(), "x": _x_inputs(x), "n": args.n}
 
     t0 = time.perf_counter()
-    for degree in degrees:
-        quot, certified = quotient_dimension(qp, degree)
-        if certified:
-            break
+    quot, certified = quotient_dimension(qp, args.degree)
     timings = {"dimension": time.perf_counter() - t0}
     details = [
-        "degree: %d" % degree,
+        "degree: %d" % quot.degree,
         "per-degree dimensions: %s" % (list(quot.per_degree),),
         "elimination: %d rows installed, pivots per length %s"
         % (quot.rows, list(quot.pivots_per_length)),
@@ -636,11 +629,11 @@ def cmd_jacobian_dim(args):
     else:
         details.append(
             "dimension: %d through degree %d (no certificate; raise --degree)"
-            % (quot.dimension, degree)
+            % (quot.dimension, quot.degree)
         )
     outcome = "PASS"
     if args.certify and not certified:
-        details.append("FAIL certificate did not engage by degree %d" % degree)
+        details.append("FAIL certificate did not engage by degree %d" % quot.degree)
         outcome = "FAIL"
     if args.certify and tq is not None and len(tq.punctures) == 1 and certified:
         t0 = time.perf_counter()
@@ -794,8 +787,14 @@ def _input_digest(argv, args):
     return inputs
 
 
-# Bad input, unreadable files and failed internal contracts all end in ERROR.
-_ERRORS = (ValueError, OSError, KeyError, json.JSONDecodeError, ZeroDivisionError, RuntimeError)
+# Bad input (malformed JSON included), unreadable files, failed internal
+# contracts and exhausted memory all end in ERROR.
+_ERRORS = (ValueError, OSError, KeyError, ZeroDivisionError, RuntimeError, MemoryError)
+
+
+def _error_line(exc):
+    """The ERROR detail line for a caught exception; a MemoryError has no message of its own."""
+    return "ERROR: %s" % ("memory ran out (MemoryError)" if isinstance(exc, MemoryError) else exc,)
 
 
 def _reject_global_options(argv):
@@ -823,7 +822,7 @@ def run_command(argv):
     except _ERRORS as exc:
         return RunReport(
             list(argv), inputs, "ERROR",
-            ["ERROR: %s" % (exc,)], {}, {"total": time.perf_counter() - start},
+            [_error_line(exc)], {}, {"total": time.perf_counter() - start},
         )
     timings["total"] = time.perf_counter() - start
     return RunReport(list(argv), inputs, outcome, details, witnesses, timings)
@@ -886,7 +885,7 @@ def main(argv=None):
                 raise ValueError("--recheck takes no command, got: %s" % " ".join(argv))
             report = run_recheck(recheck_path)
         except _ERRORS as exc:
-            report = RunReport(["recheck", recheck_path], {}, "ERROR", ["ERROR: %s" % exc])
+            report = RunReport(["recheck", recheck_path], {}, "ERROR", [_error_line(exc)])
     elif not argv:
         build_parser().print_usage()
         return 2

@@ -10,7 +10,7 @@ graded-lex greatest path of the row — reductions therefore express long
 paths through shorter ones.  The rows close the generators under arrow
 multiplication one side at a time: a pivot born from a left shift is
 shifted again only on the left, every other pivot on both sides, which
-spans the same window with far fewer rows (see quotient_dimension).  A
+spans the same window with far fewer rows (see _quotient).  A
 shifted row is indexed from the row it shifts (see _Shifts): a left shift
 b·w ranks in O(1) from w's index and first letter, a right shift w·b is
 ranked once per (index, arrow) and remembered.  Each index also keeps its
@@ -190,9 +190,6 @@ class _Kills:
     def __init__(self, index):
         self.index = index
         self.rules = []
-        # One character per arrow, so that a subword test is a substring test.
-        self.letter = {a.name: chr(i) for i, a in enumerate(index.quiver.arrows)}
-        self.spelled = []
         # arrow -> (rest of the word, min_length) of the rules whose word
         # starts with it, and (the word but its last letter, min_length) of
         # those that end with it: what a path can newly contain once that
@@ -205,19 +202,18 @@ class _Kills:
     def add(self, word, min_length):
         word = tuple(word)
         self.rules.append((word, min_length))
-        self.spelled.append((self.spell(word), min_length))
         self.starts.setdefault(word[0], []).append((word[1:], min_length))
         self.ends.setdefault(word[-1], []).append((word[:-1], min_length))
         self.memo.clear()
 
-    def spell(self, word):
-        return "".join(map(self.letter.__getitem__, word))
-
     def threshold(self, word):
         """The least min_length of the rules whose word the path contains:
-        the path is killed iff its length reaches it (inf if none applies)."""
-        s = self.spell(word)
-        return min((ml for w, ml in self.spelled if w in s), default=inf)
+        the path is killed iff its length reaches it (inf if none applies).
+        Each occurrence of a rule is found at its last letter."""
+        thr = inf
+        for i, b in enumerate(word):
+            thr = self.right_threshold(word[:i], b, thr)
+        return thr
 
     def left_threshold(self, b, word, thr):
         """The threshold of b·word, from ``thr``, the threshold of word."""
@@ -409,8 +405,27 @@ def _install(pivots, row, kills):
     return lead
 
 
-def quotient_dimension(qp, degree):
+def quotient_dimension(qp, degree=None):
     """Dimension of the truncated Jacobian quotient, with finiteness certificate.
+
+    At ``degree``, or else at the lowest degree that certifies: with the
+    generators derived once and L their largest length, D = L + 2, L + 3, …
+    up to ``qp.degree`` are tried in turn.  Returns (TruncatedQuotient,
+    certified) for the first D that certifies, or for ``qp.degree``.  A
+    certified dimension is exact (see _quotient), whatever D certified it.
+    """
+    nonzero = [g for g in jacobian_generators(qp) if not g.is_zero]
+    maxgen = max((g.max_length() for g in nonzero), default=0)
+    degrees = range(min(maxgen + 2, qp.degree), qp.degree + 1) if degree is None else [degree]
+    for d in degrees:
+        quotient = _quotient(qp, d, nonzero, maxgen)
+        if quotient.certified:
+            break
+    return quotient, quotient.certified
+
+
+def _quotient(qp, degree, nonzero, maxgen):
+    """The quotient at one degree, from the nonzero generators and their largest length.
 
     The window is the span of all truncations of p·(generator)·q with the
     product of length at most the degree — including pairs (p, q) so long
@@ -444,8 +459,6 @@ def quotient_dimension(qp, degree):
     exact, and slices from L on are reported as zero (they describe the
     full quotient, not the truncation window).  Without such an L the
     dimension only counts what survives below the truncation.
-
-    Returns (TruncatedQuotient, certified).
     """
     q = qp.quiver
     if qp.degree < degree:
@@ -453,9 +466,6 @@ def quotient_dimension(qp, degree):
             "potential is truncated at %d; cannot compute at degree %d"
             % (qp.degree, degree)
         )
-    gens = jacobian_generators(qp)
-    nonzero = [g for g in gens if not g.is_zero]
-    maxgen = max((g.max_length() for g in nonzero), default=0)
     if degree < maxgen + 2:
         raise ValueError(
             "degree %d is below max generator length %d + 2" % (degree, maxgen)
@@ -522,24 +532,16 @@ def quotient_dimension(qp, degree):
     if any(c < 0 for c in computed):
         raise RuntimeError("more pivots than paths at some length")
 
-    cert_len = None
-    for l in range(1, degree + 1):
-        if computed[l] == 0:
-            cert_len = l
-            break
+    cert_len = next((l for l in range(1, degree + 1) if computed[l] == 0), None)
     certified = cert_len is not None
-    if certified:
-        per_degree = tuple(computed[:cert_len]) + (0,) * (degree + 1 - cert_len)
-        dimension = sum(computed[:cert_len])
-    else:
-        per_degree = tuple(computed)
-        dimension = sum(computed)
+    cut = cert_len if certified else degree + 1
+    per_degree = tuple(computed[:cut]) + (0,) * (degree + 1 - cut)
 
-    quotient = TruncatedQuotient(
+    return TruncatedQuotient(
         qp=qp,
         degree=degree,
         per_degree=per_degree,
-        dimension=dimension,
+        dimension=sum(per_degree),
         certified=certified,
         certificate_length=cert_len,
         max_generator_length=maxgen,
@@ -549,7 +551,6 @@ def quotient_dimension(qp, degree):
         _pivots=pivots,
         _kills=kills,
     )
-    return quotient, certified
 
 
 def g_path_independence_check(tq, quotient, n):

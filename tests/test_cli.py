@@ -449,6 +449,17 @@ class TestJacobianDim:
         assert code == 0
         assert "dimension: 36 (exact" in out
 
+    def test_qp_file_mode_searches_up_to_the_files_degree(self, tmp_path, torus_tq):
+        # the file's potential is truncated at 12; the lowest degree that
+        # certifies is L + 2 = 7, and an explicit degree is kept as given
+        f = tmp_path / "qp.json"
+        f.write_text(json.dumps(QP(torus_tq.quiver, potential_S(torus_tq, 1, 12)).to_json_dict()))
+        for argv, degree in (([], 7), (["--degree", "12"], 12)):
+            report = cli.run_command(["jacobian-dim", "--qp", str(f)] + argv)
+            assert report.outcome == "PASS"
+            assert (report.witnesses["degree"], report.witnesses["dimension"]) == (degree, 36)
+            assert report.witnesses["certified"] is True
+
     @pytest.mark.parametrize(
         "argv,ignored",
         [
@@ -481,6 +492,29 @@ class TestJacobianDim:
         lines = [l for l in out.splitlines() if l and l[0].isdigit()]
         assert len(lines) == 2
         assert "36" in lines[0] and "72" in lines[1]
+
+    def test_table_rows_certify_at_the_lowest_degree(self):
+        report = cli.run_command(["jacobian-dim", "--table", "2", "--x=3/2"])
+        assert report.outcome == "PASS"
+        rows = [(r["degree"], r["dimension"], r["certified"]) for r in report.witnesses["rows"]]
+        assert rows == [(7, 36, True), (13, 72, True)]
+        assert report.details[1:] == ["1   7    36    True        4 ok",
+                                      "2   13   72    True        10 ok"]
+
+    def test_table_with_a_degree_keeps_it(self):
+        report = cli.run_command(["jacobian-dim", "--table", "1", "--x", "1", "--degree", "12"])
+        assert report.outcome == "PASS"
+        assert [r["degree"] for r in report.witnesses["rows"]] == [12]
+
+    def test_running_out_of_memory_is_an_error(self, capsys, tmp_path, monkeypatch):
+        def out_of_memory(qp, degree=None):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "quotient_dimension", out_of_memory)
+        out = _error_report(capsys, tmp_path, [
+            "jacobian-dim", "--triangulation", "torus", "--x", "1", "--degree", "12",
+        ])
+        assert "ERROR: memory ran out (MemoryError)\n" in out
 
     def test_empty_table_is_an_error(self, capsys):
         code, out = run(capsys, "jacobian-dim", "--table", "0", "--x", "1")
@@ -657,7 +691,12 @@ class TestMalformedInputFiles:
                           "--degree", "12"]),
         (_BAD_POTENTIAL, ["absorb", "--triangulation", "genus2p:1", "--x", "1",
                           "--potential", "F", "--degree", "12"]),
-    ], ids=["arcs-int", "arc-list", "mutate-qp", "jacobian-qp", "normalize-pot", "absorb-pot"])
+        ([1, 2], ["jacobian-dim", "--qp", "F"]),
+        ([1, 2], ["normalize", "--triangulation", "genus2p:1", "--potential", "F",
+                  "--degree", "12"]),
+        ([1, 2], ["quiver", "--triangulation", "F"]),
+    ], ids=["arcs-int", "arc-list", "mutate-qp", "jacobian-qp", "normalize-pot", "absorb-pot",
+            "list-qp", "list-potential", "list-triangulation"])
     def test_wrong_shape_is_an_error(self, capsys, tmp_path, content, argv):
         f = tmp_path / "input.json"
         f.write_text(json.dumps(content))
@@ -675,6 +714,19 @@ class TestMalformedInputFiles:
         f.write_text("{}")
         out = _error_report(capsys, tmp_path, [str(f) if tok == "F" else tok for tok in argv])
         assert "ERROR: %s\n" % message.format(f=f) in out
+
+    @pytest.mark.parametrize("argv", [
+        ["jacobian-dim", "--qp", "F"],
+        ["mutate", "--qp", "F", "--vertex", "1"],
+        ["absorb", "--triangulation", "genus2p:1", "--x", "1", "--potential", "F",
+         "--degree", "12"],
+        ["quiver", "--triangulation", "F"],
+    ], ids=["qp", "mutate-qp", "potential", "triangulation"])
+    def test_top_level_not_an_object_is_named(self, capsys, tmp_path, argv):
+        f = tmp_path / "input.json"
+        f.write_text("[1, 2]")
+        out = _error_report(capsys, tmp_path, [str(f) if tok == "F" else tok for tok in argv])
+        assert "ERROR: %s: malformed input: expected a JSON object\n" % f in out
 
     def test_float_coefficient_is_an_error(self, capsys, tmp_path, fig_tq):
         # a JSON number 0.1 is a binary float, not the rational 1/10

@@ -38,6 +38,13 @@ FAIL naming the diverging keys.  ``golden/chain_composite_digests.json``
 pins the sha256 of each old composite, computed while the engine still
 built it; composing the stored factors must reproduce each bit for bit.
 
+The ``jacobian-dim --table`` report was rewritten when each row came to
+certify at the lowest degree that does (L + 2, L the largest generator
+length) in place of n·m + 6; of its witnesses only each row's ``degree``
+and the length of its ``per_degree`` changed.  The report as it was is
+kept as ``golden/inputs/jacobian_table2.json``: its ``--recheck`` must end
+in a FAIL naming ``rows``.
+
 ``golden/absorb_endo_digests.json`` pins the sha256 of the composite
 absorption witness (as the report stored it under ``endo``) for hub², rim²
 and rim² + c·hub³ on genus2p:1 at D = 32, computed before ``compose_all``
@@ -228,4 +235,34 @@ def test_old_format_flip_report_rechecks_to_a_fail(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL witnesses diverge at: factors, phi" in out
+    assert out.rstrip().endswith("OUTCOME: FAIL")
+
+
+TABLE = "golden/reports/jacobian_table2.json"
+OLD_TABLE = "golden/inputs/jacobian_table2.json"
+
+
+def _table_rows(path):
+    return json.loads((pathlib.Path(__file__).parent / path).read_text())["witnesses"]["rows"]
+
+
+def test_stored_table_certifies_at_the_lowest_degree():
+    new, old = _table_rows(TABLE), _table_rows(OLD_TABLE)
+    assert [(r["n"], r["degree"], r["dimension"], r["certified"]) for r in new] == [
+        (1, 7, 36, True), (2, 13, 72, True)]
+    assert [r["degree"] for r in old] == [12, 18]
+    # only the degree and the length of the per-degree list changed
+    for o, n in zip(old, new):
+        assert {k: v for k, v in o.items() if k not in ("degree", "per_degree")} == {
+            k: v for k, v in n.items() if k not in ("degree", "per_degree")}
+        assert o["per_degree"][:len(n["per_degree"])] == n["per_degree"]
+        assert not any(o["per_degree"][len(n["per_degree"]):])
+
+
+def test_old_degree_rule_table_rechecks_to_a_fail(monkeypatch, capsys):
+    monkeypatch.chdir(REPO_ROOT)
+    code = main(["--recheck", "tests/" + OLD_TABLE])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL witnesses diverge at: rows\n" in out
     assert out.rstrip().endswith("OUTCOME: FAIL")

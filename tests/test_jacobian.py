@@ -314,6 +314,71 @@ class TestCertificate:
             quotient_dimension(qp, 6)
 
 
+def walked_qp(spec, x, n, flips=0, seed=0, above=7):
+    """QP(S(τ, x, n)) after a seeded flip walk from a built-in surface,
+    truncated at L + ``above``, L = n·m − 1 the largest generator length (m
+    the largest valency); L + 7 = n·m + 6 is ``jacobian-dim``'s default."""
+    tau = SHIFT_SURFACES[spec]()
+    for _, _, tau in flip_walk(tau, random.Random(seed), flips):
+        pass
+    tq = build_quiver(tau)
+    L = n * max(p.valency for p in tq.punctures) - 1
+    return QP(tq.quiver, potential_S(tq, x, L + above, n=n))
+
+
+class TestLowestCertifyingDegree:
+    """Without a degree, the first of L + 2, L + 3, … up to the potential's
+    own degree that certifies is the one returned."""
+
+    @pytest.mark.parametrize(
+        "spec,x,n,degree,dimension",
+        [
+            ("torus", 1, 1, 7, 36),
+            ("torus", 1, 3, 19, 108),
+            ("genus2p:1", (1, 1), 1, 9, 80),
+            ("genus2p:1", (1, 1), 2, 17, 160),
+            ("genus2p:2", (1, 1), 1, 17, 320),
+        ],
+    )
+    def test_matches_the_cli_cases(self, spec, x, n, degree, dimension):
+        quo, certified = quotient_dimension(walked_qp(spec, x, n))
+        assert certified and quo.certified
+        assert (quo.degree, quo.dimension) == (degree, dimension)
+        assert quo.degree == quo.max_generator_length + 2
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        case=st.sampled_from([("torus", 1), ("torus", 2), ("torus", 3), ("genus2p:1", 1)]),
+        flips=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+        x=st.sampled_from([Fraction(1), Fraction(-1, 3), Fraction(3, 2)]),
+    )
+    def test_agrees_with_two_higher_degrees(self, case, flips, seed, x):
+        spec, n = case
+        x = x if spec == "torus" else (x, 1)
+        qp = walked_qp(spec, x, n, flips, seed, above=4)
+        low, certified = quotient_dimension(qp)
+        assert certified
+        assert low.degree + 2 <= qp.degree == low.max_generator_length + 4
+        for d in (low.degree + 1, low.degree + 2):
+            quo, certified = quotient_dimension(qp, d)
+            assert certified
+            assert (quo.dimension, quo.certificate_length, quo.max_generator_length) == (
+                low.dimension, low.certificate_length, low.max_generator_length)
+
+    def test_never_certifying_returns_the_potentials_degree(self, torus_tq):
+        q = torus_tq.quiver
+        quo, certified = quotient_dimension(QP(q, Potential.zero(q, 8)))
+        assert not certified and not quo.certified
+        assert quo.degree == 8
+        assert list(quo.per_degree) == [3] + [3 * 2 ** l for l in range(1, 9)]
+
+    def test_a_potential_truncated_below_L_plus_2_is_an_error(self, torus_tq):
+        # L = 5 for n = 1; the one degree left to try is the potential's own
+        with pytest.raises(ValueError, match="below max generator"):
+            quotient_dimension(torus_qp(torus_tq, 1, 6))
+
+
 @pytest.fixture(scope="module")
 def quo(torus_tq):
     qp = torus_qp(torus_tq, 1, 12)

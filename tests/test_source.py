@@ -40,26 +40,39 @@ def test_benchmark_tracer_finds_every_boundary():
     assert qpsurf.jacobian._Kills.add is add
 
 
-COMPOSERS = {"compose", "compose_all", "limit_compose"}
-
-
-def test_no_stage_builds_a_composite():
-    # Every multi-step witness is kept as its factor chain and applied in
-    # turn, so only endo.py composes.  The package's __init__.py may import
-    # the composers to re-export them, but calls none.
+def _uses(names, owner):
+    """Per module but ``owner``: the (line, name) of every call of one of the
+    names, and of every import of one outside the package's __init__.py,
+    which may import them to re-export."""
     found = {}
     for path in SOURCES:
-        if path.name == "endo.py":
+        if path.name == owner:
             continue
         hits = []
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
-                hits += [(node.lineno, a.name) for a in node.names if a.name in COMPOSERS]
+                hits += [(node.lineno, a.name) for a in node.names if a.name in names]
             elif isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in COMPOSERS:
+                if name in names:
                     hits.append((node.lineno, name))
         found[path.name] = hits
+    return found
+
+
+def test_no_stage_builds_a_composite():
+    # Every multi-step witness is kept as its factor chain and applied in
+    # turn, so only endo.py composes.
+    found = _uses({"compose", "compose_all", "limit_compose"}, "endo.py")
     assert "qp_mutation.py" in found and "normalize.py" in found
+    assert not any(found.values()), {name: hits for name, hits in found.items() if hits}
+
+
+def test_only_jacobian_derives_the_generators():
+    # quotient_dimension derives the generators and their largest length
+    # once and chooses the degree from them, so no other module derives
+    # them to choose a degree.
+    found = _uses({"jacobian_generators"}, "jacobian.py")
+    assert "cli.py" in found
     assert not any(found.values()), {name: hits for name, hits in found.items() if hits}
