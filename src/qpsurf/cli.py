@@ -128,14 +128,6 @@ def _load_object(path, build):
         raise ValueError("%s: malformed input: %s" % (path, exc)) from None
 
 
-def _triangulation(data):
-    """``Triangulation.from_json_dict``, with its missing keys raised as ``KeyError``."""
-    missing = [k for k in ("arcs", "triangles") if k not in data]
-    if missing:
-        raise KeyError(*missing)
-    return Triangulation.from_json_dict(data)
-
-
 def _is_builtin(spec):
     """Whether a triangulation spec names a built-in surface rather than a file."""
     return spec == "torus" or spec.startswith("genus2p:")
@@ -146,7 +138,7 @@ def load_triangulation(spec):
     if spec is None:
         raise ValueError("no triangulation given: pass --triangulation (or --qp FILE)")
     if not _is_builtin(spec):
-        return _load_object(spec, _triangulation)
+        return _load_object(spec, Triangulation.from_json_dict)
     if spec == "torus":
         return once_punctured_torus()
     return twice_punctured_genus(int(spec.split(":", 1)[1]))
@@ -366,7 +358,7 @@ def cmd_mutate(args):
 def cmd_verify_flip(args):
     tau = load_triangulation(args.triangulation)
     k = _parse_arc(args.arc)
-    x = _fraction(args.x, "--x")
+    x = parse_x(args.x)
     n = args.n
     perturb = None if args.perturb is None else _fraction(args.perturb, "--perturb")
     t0 = time.perf_counter()
@@ -555,13 +547,6 @@ def cmd_classify(args):
     return ("PASS" if bad == 0 else "FAIL"), details, witnesses, timings
 
 
-def _jacobian_qp(tq, x, n, degree):
-    """QP(S(τ, x, n)) truncated at ``degree``, by default n·m + 6 (m the largest valency)."""
-    if degree is None:
-        degree = n * max(p.valency for p in tq.punctures) + 6
-    return QP(tq.quiver, potential_S(tq, x, degree, n=n))
-
-
 def _quotient_entries(quot):
     """The witness entries that every Jacobian dimension report carries."""
     return {"degree": quot.degree, "dimension": quot.dimension,
@@ -580,7 +565,7 @@ def _jacobian_table(args):
     details = ["n   D    dim   certified   lower bound"]
     rows, timings, ok = [], {}, True
     for n in range(1, args.table + 1):
-        qp = _jacobian_qp(tq, x, n, args.degree)
+        qp = QP(tq.quiver, potential_S(tq, x, args.degree, n=n))
         t0 = time.perf_counter()
         quot, certified = quotient_dimension(qp, args.degree)
         timings["n=%d" % n] = time.perf_counter() - t0
@@ -609,7 +594,7 @@ def cmd_jacobian_dim(args):
         tau, tq = _surface(args.triangulation)
         x = parse_x(args.x)
         n = 1 if args.n is None else args.n
-        qp = _jacobian_qp(tq, x, n, args.degree)
+        qp = QP(tq.quiver, potential_S(tq, x, args.degree, n=n))
         witnesses = {"triangulation": tau.to_json_dict(), "x": _x_inputs(x), "n": args.n}
 
     t0 = time.perf_counter()

@@ -25,8 +25,8 @@ from .path_algebra import (
     Potential,
     Quiver,
     TruncatedElement,
-    canonicalize_rotation,
     cyclic_derivative,
+    exact_coefficient,
     is_cyclically_equivalent,
 )
 from .surface import build_quiver, flip, potential_S
@@ -179,15 +179,43 @@ def _quadratic_classes(pot):
     return {p: z for p, z in pot.terms.items() if len(p) == 2}
 
 
+def _pair_rules(rest, w0, w1):
+    """The substitution that removes from ``w0·w1 + rest`` every term through the pair.
+
+    R collects the terms of ``rest`` that contain w0 or w1, each divided by
+    its k occurrences of the two; the rules are w0 ↦ w0 − ∂_{w1}R and
+    w1 ↦ w1 − ∂_{w0}R.  They carry w0·w1 to w0·w1 − R plus longer terms,
+    because w0·∂_{w0}R + ∂_{w1}R·w1 is cyclically equivalent to R: each
+    term is removed once, whatever its k (Derksen–Weyman–Zelevinsky,
+    Selecta Math. 2008, §4).  No rules, and no derivative, when R is zero.
+    """
+    q, d = rest.quiver, rest.degree
+    through = {}
+    for p, c in rest.terms.items():
+        k = p.arrows.count(w0) + p.arrows.count(w1)
+        if k:
+            through[p] = c if k == 1 else exact_coefficient(Fraction(c) / k)
+    if not through:
+        return {}
+    r = Potential._raw(q, d, through)
+    rules = {}
+    for name, other in ((w0, w1), (w1, w0)):
+        dr = TruncatedElement(q, d, cyclic_derivative(r, other).terms)
+        if not dr.is_zero:
+            rules[name] = TruncatedElement.from_arrow(q, d, name) - dr
+    return rules
+
+
 def reduce(qp):
     """Split a QP into its reduced part and a sum of 2-cycles, with witness.
 
     First a linear change of arrows over the rationals turns the degree-2
     part into a sum of distinct-pair 2-cycles with coefficient 1; then
-    repeated substitutions push every longer occurrence of a paired arrow
-    above the truncation degree.  The witness keeps these substitutions in
-    the order applied.  The paired arrows are deleted from the output.
-    Fails loudly if the iteration has not stabilized after D rounds.
+    rounds of the same pair substitution (``_pair_rules``) push every
+    longer occurrence of a paired arrow above the truncation degree, until
+    a round changes nothing.  The witness keeps these substitutions in the
+    order applied.  The paired arrows are deleted from the output.  Fails
+    loudly if the iteration has not stabilized after D rounds.
     """
     q = qp.quiver
     d = qp.degree
@@ -197,8 +225,9 @@ def reduce(qp):
 
     def record(rules):
         nonlocal pot
-        factors.append(REndomorphism(q, d, rules))
-        pot = factors[-1].apply(pot)
+        if rules:
+            factors.append(REndomorphism(q, d, rules))
+            pot = factors[-1].apply(pot)
 
     # Linear normalization: pick 2-cycle pivots in canonical order and
     # clean their rows and columns, recomputing after each pivot so the
@@ -222,65 +251,29 @@ def reduce(qp):
         if z != 1:
             record({w0: TruncatedElement.from_arrow(q, d, w0, Fraction(1, 1) / z)})
             quad = _quadratic_classes(pot)
-        x_corr = {}
-        y_corr = {}
-        for p, c in quad.items():
-            if p == pivot:
-                continue
-            u, v = p.arrows
-            if u == v:
+        del quad[pivot]
+        for p in quad:
+            if p.arrows[0] == p.arrows[1]:
                 raise ValueError(
                     "quadratic part has a repeated-arrow class %r; "
                     "not splittable over the rationals" % (p,)
                 )
-            for (one, other) in ((u, v), (v, u)):
-                if one == w1 and other != w0:
-                    x_corr[other] = x_corr.get(other, 0) + c
-                if one == w0 and other != w1:
-                    y_corr[other] = y_corr.get(other, 0) + c
-        rules = {}
-        if x_corr:
-            img = TruncatedElement.from_arrow(q, d, w0)
-            for nm, c in x_corr.items():
-                img = img - TruncatedElement.from_arrow(q, d, nm, c)
-            rules[w0] = img
-        if y_corr:
-            img = TruncatedElement.from_arrow(q, d, w1)
-            for nm, c in y_corr.items():
-                img = img - TruncatedElement.from_arrow(q, d, nm, c)
-            rules[w1] = img
-        if rules:
-            record(rules)
+        record(_pair_rules(Potential._raw(q, d, quad), w0, w1))
         pairs.append((w0, w1))
 
     pairs = tuple(pairs)
     paired_arrows = {nm for uv in pairs for nm in uv}
     trivial = Potential(q, d, {q.path(pair): 1 for pair in pairs})
-
-    def contamination(p):
-        rest = p - trivial
-        return [
-            pth for pth in rest.terms if set(pth.arrows) & paired_arrows
-        ]
-
-    rounds = 0
-    while contamination(pot):
-        rounds += 1
-        if rounds > d:
-            raise RuntimeError(
-                "trivial-part elimination did not stabilize within %d rounds" % d
-            )
+    for _ in range(d + 1):
+        recorded = len(factors)
         for w0, w1 in pairs:
-            rest = pot - trivial
-            du = TruncatedElement(q, d, cyclic_derivative(rest, w0).terms)
-            dv = TruncatedElement(q, d, cyclic_derivative(rest, w1).terms)
-            rules = {}
-            if not dv.is_zero:
-                rules[w0] = TruncatedElement.from_arrow(q, d, w0) - dv
-            if not du.is_zero:
-                rules[w1] = TruncatedElement.from_arrow(q, d, w1) - du
-            if rules:
-                record(rules)
+            record(_pair_rules(pot - trivial, w0, w1))
+        if len(factors) == recorded:
+            break
+    else:
+        raise RuntimeError(
+            "trivial-part elimination did not stabilize within %d rounds" % d
+        )
 
     embedded = pot - trivial
     if not embedded.is_zero and embedded.short < 3:

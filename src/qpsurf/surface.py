@@ -142,12 +142,10 @@ class Triangulation:
 
     @classmethod
     def from_json_dict(cls, data):
-        keys = data.keys() if isinstance(data, dict) else ()
-        missing = [k for k in ("arcs", "triangles") if k not in keys]
+        """Load from ``to_json_dict`` output; ``KeyError`` names every missing key."""
+        missing = [k for k in ("arcs", "triangles") if k not in data]
         if missing:
-            raise ValueError(
-                "not a triangulation: missing %s" % ", ".join(repr(k) for k in missing)
-            )
+            raise KeyError(*missing)
         return cls(data["arcs"], data["triangles"])
 
 

@@ -532,8 +532,9 @@ class TestJacobianDim:
         ],
     )
     def test_lowest_certifying_degree_without_degree(self, spec, x, n, degree, dimension):
-        # degrees from the largest generator length + 2 up to n·m + 6 are
-        # tried in turn; the first that certifies is the one reported
+        # degrees from the largest generator length + 2 up to the
+        # potential's default degree, 2·n·m + 6, are tried in turn; the
+        # first that certifies is the one reported
         report = cli.run_command(
             ["jacobian-dim", "--triangulation", spec, "--x", x, "--n", str(n)]
         )

@@ -16,6 +16,12 @@ re-runs its command and compares outcome and witnesses, so a change that
 alters any witness fails here.  Stored commands name input files relative to the
 repository root (``golden/inputs``), so the recheck runs there.
 
+The mutate report at n = 2 (vertex 1 of S(torus, −1/3, 2) at D = 18, input
+``golden/inputs/qp_torus_n2_d18.json``) was written when ``reduce`` came to
+remove each term through a paired arrow once per elimination round.  Before
+that change the same command ended in ERROR ("trivial-part elimination did
+not stabilize"), so no older report of it exists.
+
 The verify-flip report was rewritten when its witness became the four
 factors (φ1, φ2, φ3, φ4) in place of their composite ``phi``; no other key
 of it changed.  The report as it was, with ``phi``, is kept as
@@ -69,8 +75,14 @@ import pytest
 
 from qpsurf.cli import main, run_command, run_recheck
 from qpsurf.endo import REndomorphism, compose_all
-from qpsurf.qp_mutation import QP, verify_flip_compatibility
-from qpsurf.surface import build_quiver, once_punctured_torus, twice_punctured_genus
+from qpsurf.path_algebra import Potential
+from qpsurf.qp_mutation import QP, is_two_acyclic, verify_flip_compatibility
+from qpsurf.surface import (
+    build_quiver,
+    once_punctured_torus,
+    potential_S,
+    twice_punctured_genus,
+)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 REPORTS = sorted((pathlib.Path(__file__).parent / "golden" / "reports").glob("*.json"))
@@ -182,6 +194,26 @@ def test_stored_reduction_factors_compose_to_the_old_reports_endo():
                for data in new_w["reduction_factors"]]
     assert len(factors) == 2
     assert _sha256(compose_all(factors, pre.quiver, pre.degree).to_json_dict()) == want
+
+
+def test_stored_n2_mutation_factors_carry_the_premutated_potential():
+    """The stored n = 2 reduction factors, applied in turn to the stored
+    premutated potential, give its two 2-cycles plus the stored result."""
+    stored = json.loads((REPO_ROOT / "tests/golden/reports/mutate_torus_n2_v1.json").read_text())
+    w = stored["witnesses"]
+    tq = build_quiver(once_punctured_torus())
+    s = potential_S(tq, Fraction(-1, 3), 18, n=2)
+    assert QP.from_json_dict(w["input"]) == QP(tq.quiver, s)
+    pre = QP.from_json_dict(w["premutated"])
+    mutated = QP.from_json_dict(w["mutated"])
+    assert is_two_acyclic(mutated.quiver)
+    got = pre.potential
+    for data in w["reduction_factors"]:
+        got = REndomorphism.from_json_dict(pre.quiver, data).apply(got)
+    q = pre.quiver
+    want = Potential(q, pre.degree, {q.path(pair): 1 for pair in w["pairs"]}) + Potential(
+        q, pre.degree, {q.path(p.arrows): z for p, z in mutated.potential.terms.items()})
+    assert got == want
 
 
 @pytest.mark.parametrize("kind, keys", [

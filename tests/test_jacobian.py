@@ -317,7 +317,8 @@ class TestCertificate:
 def walked_qp(spec, x, n, flips=0, seed=0, above=7):
     """QP(S(τ, x, n)) after a seeded flip walk from a built-in surface,
     truncated at L + ``above``, L = n·m − 1 the largest generator length (m
-    the largest valency); L + 7 = n·m + 6 is ``jacobian-dim``'s default."""
+    the largest valency); ``jacobian-dim`` truncates at the potential's
+    default degree, 2·n·m + 6."""
     tau = SHIFT_SURFACES[spec]()
     for _, _, tau in flip_walk(tau, random.Random(seed), flips):
         pass

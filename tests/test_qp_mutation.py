@@ -8,10 +8,14 @@ reversed arrows "a*") as well as the arithmetic.
 import dataclasses
 import json
 import pathlib
+import random
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qpsurf.cli import random_cycle_potential
 from qpsurf.endo import REndomorphism, compose_all
 from qpsurf.path_algebra import (
     Path,
@@ -151,6 +155,19 @@ class TestReduce:
             reduce(QP(q, pot))
 
 
+    def test_repeated_pair_is_removed_once_per_round(self):
+        # (x·y)² holds the pair four times: each round removes it once, so
+        # x·y + (x·y)² reduces to x·y alone rather than alternating in sign
+        q = Quiver(["u", "v"], [("x", "u", "v"), ("y", "v", "u")])
+        xy = q.path(("x", "y"))
+        pot = Potential(q, 12, {xy: 1, q.path(("x", "y", "x", "y")): 1})
+        red, witness = reduce(QP(q, pot))
+        assert witness.pairs == (("x", "y"),)
+        assert witness.trivial == Potential(q, 12, {xy: 1})
+        assert witness.embedded_reduced.is_zero and red.potential.is_zero
+        assert witness.recheck(QP(q, pot))
+
+
 class TestReductionChain:
     """The reduction witness is its factor chain; a broken chain fails both rechecks."""
 
@@ -228,6 +245,72 @@ class TestMutate:
         red, witness = mutate(qp, 2)
         assert not is_two_acyclic(witness.premutated.quiver)
         assert witness.reduction.recheck(witness.premutated)
+
+
+SURFACES = {"torus": (once_punctured_torus, Fraction(-1, 3)),
+            "genus2p:1": (lambda: twice_punctured_genus(1), (Fraction(-1, 3), 2))}
+
+
+class TestMutateHigherPowers:
+    """Generic mutation of S(τ, x, n) for n ≥ 2, where a term can hold a
+    paired arrow more than once: the elimination stabilizes, the result is
+    2-acyclic and the witness rechecks."""
+
+    @pytest.mark.parametrize("spec, degree, k", [
+        *(("torus", 18, k) for k in (1, 2, 3)),
+        *(("genus2p:1", 22, k) for k in range(1, 7)),
+    ])
+    def test_n2_mutation_is_reduced_and_rechecks(self, spec, degree, k):
+        surface, x = SURFACES[spec]
+        tq = build_quiver(surface())
+        qp = QP(tq.quiver, potential_S(tq, x, degree, n=2))
+        red, witness = mutate(qp, k)
+        assert is_two_acyclic(red.quiver)
+        assert len(witness.reduction.pairs) == 2
+        assert witness.recheck(qp, k)
+
+    @settings(max_examples=25, deadline=timedelta(seconds=60), derandomize=True)
+    @given(
+        spec=st.sampled_from(sorted(SURFACES)),
+        n=st.sampled_from([1, 2]),
+        extra=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        pick=st.integers(0, 5),
+    )
+    def test_random_extra_terms_reduce_and_recheck(self, spec, n, extra, seed, pick):
+        surface, x = SURFACES[spec]
+        tau = surface()
+        tq = build_quiver(tau)
+        degree = n * max(p.valency for p in tq.punctures) + 6
+        pot = potential_S(tq, x, degree, n=n)
+        if extra:
+            pot = pot + random_cycle_potential(tq, degree, random.Random(seed))
+        k = tau.arcs[pick % len(tau.arcs)]
+        qp = QP(tq.quiver, pot)
+        red, witness = mutate(qp, k)
+        assert witness.recheck(qp, k)
+
+
+class TestFlipRouteAgainstGenericRoute:
+    """The φ chain of ``verify_flip_compatibility`` and generic ``mutate``
+    reach the same potential: renamed by the report's forced arc matching,
+    the generic result is the flipped potential exactly."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("x", [Fraction(-1, 3), Fraction(2)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_renamed_generic_mutation_is_the_flipped_potential(self, torus_tq, k, x, n):
+        report = verify_flip_compatibility(torus_tq.tau, k, x, n)
+        assert report.ok
+        red, _ = mutate(QP(torus_tq.quiver, potential_S(torus_tq, x, n=n)), k)
+        q = report.expected.quiver
+        assert {(report.renaming[a.name], a.tail, a.head) for a in red.quiver.arrows} == {
+            (a.name, a.tail, a.head) for a in q.arrows}
+        renamed = Potential(q, red.degree, {
+            q.path(tuple(report.renaming[nm] for nm in p.arrows)): z
+            for p, z in red.potential.terms.items()
+        })
+        assert renamed == report.expected
 
 
 class TestQPSerialization:
