@@ -5,8 +5,9 @@ one weighted cycle per puncture.  Adding a higher power of a puncture
 cycle does not change the right-equivalence class: an explicit
 unitriangular endomorphism carries S + V back to S.  This builds that
 endomorphism for V = (hub cycle)^2, as the chain of factors whose
-composite it is, and re-verifies it exactly by applying the factors in
-turn.
+composite it is.  absorb_g_powers applies each factor once, to the
+carried potential S + V, and compares the final image with S once; the
+demo then applies the factors in turn itself and checks the same.
 
 Run with:  python3 demos/absorb_powers.py
 """

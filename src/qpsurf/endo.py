@@ -112,13 +112,14 @@ class REndomorphism:
         with its unit coefficient (of the arrow itself) and δ (the shortest
         other term's length − 1, inf for a pure rescaling).
 
-        A term whose slack below the degree is smaller than every δ is
-        copied straight through, times the unit coefficients of its arrows
-        (dropped if one is 0): replacing any arrow by a non-unit term would
-        add more than the slack, so only the unit terms survive.  Any other
-        term is walked in two steps.  Branch step: an arrow whose δ fits the
-        slack expands into its image, up to the room the remaining arrows
-        leave; that room bound is the only length limit needed.  Run step:
+        A term that holds no rule arrow is copied straight through.  So is
+        a term whose slack below the degree is smaller than every δ, times
+        the unit coefficients of its arrows (dropped if one is 0):
+        replacing any arrow by a non-unit term would add more than the
+        slack, so only the unit terms survive.  Any other term is walked in
+        two steps.  Branch step: an arrow whose δ fits the slack expands
+        into its image, up to the room the remaining arrows leave; that
+        room bound is the only length limit needed.  Run step:
         a maximal run of arrows that cannot branch is appended whole and
         scaled once by the product of its unit coefficients.  A product
         with a factor 1 is not formed.  Output coefficients are stored as
@@ -159,7 +160,7 @@ class REndomorphism:
             if n > d:
                 continue
             slack = d - n
-            if slack < reach:
+            if slack < reach or info.keys().isdisjoint(word):
                 for a in word if scales else ():
                     if a in scales:
                         c *= scales[a]
@@ -374,44 +375,60 @@ def compose_all(factors, quiver, degree):
     return psi
 
 
-def _limit_factors(factors, degree):
-    """Collect a stream of substitutions until the tail stops mattering.
+def _limit_factors(stream, degree, pot):
+    """Run a stream of substitutions until the tail stops mattering.
 
-    Consumes ``factors`` (latest factor applied last) and returns the
-    factors taken, as a tuple in application order.  It stops once a factor
-    has depth ≥ degree — beyond that every further factor is the identity
-    modulo the truncation — or the stream ends.  Aborts loudly if 10·degree
+    ``stream`` is a generator of substitutions, latest applied last.  Each
+    factor it yields is applied once, to the carried potential ``pot``,
+    and the result is sent back into the stream, which reads its next
+    state off it.  The run stops once a factor has depth ≥ degree —
+    beyond that every further factor is the identity modulo the
+    truncation — or the stream ends.  Aborts loudly if 10·degree
     consecutive factors fail to push the depth watermark up, which would
     mean the stream is not converging.
+
+    Returns (factors, pot, result): the factors taken, as a tuple in
+    application order, which are exactly the factors applied; ``pot``
+    with them applied; and the stream's return value, None if the run
+    stopped before the stream ended.
     """
     collected = []
     watermark = -1
     stalled = 0
-    for phi in factors:
-        collected.append(phi)
-        d = phi.depth()
-        if d >= degree:
-            break
-        if d > watermark:
-            watermark = d
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= 10 * degree:
-                raise RuntimeError(
-                    "limit composition stalled: %d factors without depth progress "
-                    "(watermark %s)" % (stalled, watermark)
-                )
-    return tuple(collected)
+    try:
+        phi = next(stream)
+        while True:
+            collected.append(phi)
+            pot = phi.apply(pot)
+            d = phi.depth()
+            if d >= degree:
+                stream.close()
+                return tuple(collected), pot, None
+            if d > watermark:
+                watermark = d
+                stalled = 0
+            else:
+                stalled += 1
+                if stalled >= 10 * degree:
+                    raise RuntimeError(
+                        "limit composition stalled: %d factors without depth progress "
+                        "(watermark %s)" % (stalled, watermark)
+                    )
+            phi = stream.send(pot)
+    except StopIteration as stop:
+        return tuple(collected), pot, stop.value
 
 
 def limit_compose(factors, quiver, degree):
     """Compose a stream of substitutions until the tail stops mattering.
 
-    The composite ...∘φ2∘φ1 of the factors ``_limit_factors`` collects from
-    the stream (latest factor applied last).  No stage of the engine calls
-    it: each collects its factors with ``_limit_factors`` and applies them
-    in turn, which gives the same result as applying this composite,
-    exactly modulo the truncation.
+    The composite ...∘φ2∘φ1 of the factors ``_limit_factors`` takes from
+    the stream (latest factor applied last); they are applied to the zero
+    potential, which costs nothing.  No stage of the engine calls it: each
+    runs its stream through ``_limit_factors``, which applies every factor
+    once to the stage's potential, with the same result as applying this
+    composite, exactly modulo the truncation.
     """
-    return compose_all(_limit_factors(factors, degree), quiver, degree)
+    zero = Potential.zero(quiver, degree)
+    taken, _, _ = _limit_factors((phi for phi in factors), degree, zero)
+    return compose_all(taken, quiver, degree)

@@ -13,15 +13,18 @@ cycle around its puncture step by step (the ζ moves) and absorb it; and
 finally absorb all higher powers of the puncture cycles on the
 two-puncture family, leaving the bare weighted-cycle potential.
 
-Each public function re-verifies its witness exactly once, just before it
-returns: it applies the witness to the input and compares the result with
-the claimed output up to cyclic equivalence.  A multi-step witness is its
-chain of factors, in application order, applied in turn; a one-step
-witness (the triangle rescaling, a lengthening trade, a ζ-step) is one
-substitution.  No stage builds a composite.  Nested stages are private
-generators (``_normal_form_rounds``, ``_walk``) that yield their factors
-into the caller's one stream and keep their cheap invariant checks, but
-never re-apply a witness.
+Each public function applies every factor of its witness exactly once
+and compares the result with its claimed output exactly once, up to
+cyclic equivalence, just before it returns.  A multi-step witness is its
+chain of factors, in application order; a one-step witness (the triangle
+rescaling, a lengthening trade, a ζ-step) is one substitution.  No stage
+builds a composite.  Nested stages are private generators
+(``_normal_form_rounds``, ``_walk``) that yield their factors into the
+caller's one stream.  The stream's collector (``endo._limit_factors``)
+applies each factor to the carried whole potential — S+V, S+U+W or
+T+Z+U — and sends the image back, and each stage reads its next state
+off that image and checks its own contract on it.  So the returned chain
+is, by construction, the chain that was applied.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ from .path_algebra import (
     is_cyclically_equivalent,
 )
 from .surface import (
+    _classify_key,
     _coerce_x,
     _require_conditions,
-    classify_cycle,
     potential_S,
     potential_T,
 )
@@ -64,8 +67,7 @@ def split(tq, pot):
     _require_conditions(tq)
     buckets = {"F": {}, "G": {}, "FG": {}}
     for p, c in pot.terms.items():
-        cls = classify_cycle(tq, p)
-        buckets[cls.kind][p] = c
+        buckets[_classify_key(tq, p).kind][p] = c
     # a potential's keys are canonical and the buckets are disjoint
     return SplitPotential(*(Potential._raw(tq.quiver, pot.degree, t) for t in buckets.values()))
 
@@ -122,55 +124,67 @@ def lengthen(tq, symbol, w_pot, a_pot):
     if symbol not in ("f", "fg"):
         raise ValueError("symbol must be 'f' or 'fg'")
     _require_conditions(tq)
-    q = tq.quiver
     d = min(w_pot.degree, a_pot.degree)
     w_pot = w_pot.truncate(d)
     a_pot = a_pot.truncate(d)
-    t_pot = potential_T(tq, d)
     _check_disjoint_from_triangles(tq, w_pot, "W")
     _check_disjoint_from_triangles(tq, a_pot, "A")
     parts = split(tq, a_pot)
+    phi = _lengthening(tq, symbol, parts, d)
+    t_pot = potential_T(tq, d)
+    b_pot = phi.apply(t_pot + w_pot + a_pot) - t_pot - w_pot
+    _lengthened(tq, symbol, parts, b_pot)
+    return phi, b_pot
+
+
+def _lengthening(tq, symbol, parts, degree):
+    """The substitution trading the symbol-part of A for longer terms, read off A's split.
+
+    Checks that its depth is short(A_symbol) − 3.
+    """
+    q = tq.quiver
     a_phi = parts.s_f if symbol == "f" else parts.s_fg
     if a_phi.is_zero:
         raise ValueError("the %s-part of A is zero; nothing to lengthen" % symbol)
-    short_a_phi = a_phi.short
-
-    corrections = {}
-    if symbol == "f":
-        for p, z in a_phi.terms.items():
-            cls = classify_cycle(tq, p)
+    images = {}  # arrow -> its image's terms: the arrow minus its tails
+    for p, z in a_phi.terms.items():
+        cls = _classify_key(tq, p)
+        if symbol == "f":
             if cls.kind != "F" or cls.n < 2:
                 raise RuntimeError("length-3 terms of A would overlap the triangle cycles")
             alpha = min(p.arrows, key=q.rank)
-            cyc = tq.f_path(3, alpha).arrows
-            tail = Path((alpha,) + cyc * (cls.n - 1))
-            corrections.setdefault(alpha, []).append((tail, z))
-    else:
-        for p, z in a_phi.terms.items():
-            cls = classify_cycle(tq, p)
+            tail = Path((alpha,) + tq.f_path(3, alpha).arrows * (cls.n - 1))
+        else:
             if cls.kind != "FG":
                 raise RuntimeError("fg-part term %r is not a mixed cycle" % (p,))
             # The pinch rotation reads f²(a)·f(a)·ω with ω parallel to a;
             # ω starts with the g-step arrow preceding the stored tail.
-            a = cls.witness_arrow
-            omega = Path((tq.g_inv[tq.f_of(a)],) + cls.remainder.arrows)
-            corrections.setdefault(a, []).append((omega, z))
-    rules = {}
-    for alpha, tails in corrections.items():
-        img = TruncatedElement.from_arrow(q, d, alpha)
-        for tail, z in tails:
-            img = img - TruncatedElement.from_path(q, d, tail, z)
-        rules[alpha] = img
-    phi = REndomorphism(q, d, rules)
+            alpha = cls.witness_arrow
+            tail = Path((tq.g_inv[tq.f_of(alpha)],) + cls.remainder.arrows)
+        image = images.setdefault(alpha, {Path((alpha,)): 1})
+        image[tail] = image.get(tail, 0) - z
+    phi = REndomorphism(
+        q, degree, {alpha: TruncatedElement(q, degree, image) for alpha, image in images.items()}
+    )
     dep = phi.depth()
-    if dep != short_a_phi - 3:
+    if dep != a_phi.short - 3:
         raise RuntimeError(
             "substitution depth %s disagrees with short(A_%s) - 3 = %d"
-            % (dep, symbol, short_a_phi - 3)
+            % (dep, symbol, a_phi.short - 3)
         )
-    b_pot = phi.apply(t_pot + w_pot + a_pot) - t_pot - w_pot
+    return phi
+
+
+def _lengthened(tq, symbol, parts, b_pot):
+    """Check B against the lengthening contract for A (split as ``parts``); return B's split.
+
+    B is rotationally disjoint from the triangle cycles, its symbol-part
+    is strictly longer than A's, and its other parts are no shorter than
+    A's or than short(A_symbol) + 1.
+    """
     _check_disjoint_from_triangles(tq, b_pot, "B")
     b_parts = split(tq, b_pot)
+    short_a_phi = (parts.s_f if symbol == "f" else parts.s_fg).short
     b_phi = b_parts.s_f if symbol == "f" else b_parts.s_fg
     b_nu = b_parts.s_fg if symbol == "f" else b_parts.s_f
     a_nu = parts.s_fg if symbol == "f" else parts.s_f
@@ -188,68 +202,48 @@ def lengthen(tq, symbol, w_pot, a_pot):
                 b_parts.s_f.short, b_parts.s_g.short, b_parts.s_fg.short,
             )
         )
-    return phi, b_pot
+    return b_parts
 
 
-def _run_stage(stream, degree):
-    """Collect the factors a stage generator yields; return (factors, its result).
-
-    No factor of a stage is the identity, so each has depth below the degree
-    and ``_limit_factors`` runs the stream to its end.
-    """
-    result = []
-
-    def factors():
-        result.append((yield from stream))
-
-    return _limit_factors(factors(), degree), result[0]
-
-
-def _reverify(factors, before, after, what):
-    """The one exact check of a public call: the factors, applied to before
-    in turn, give a potential cyclically equivalent to after.
-
-    Every rule image lies in the arrow ideal, so applying the factors in
-    turn equals applying their composite, exactly modulo the truncation.
-    """
-    for phi in factors:
-        before = phi.apply(before)
-    if not is_cyclically_equivalent(before, after):
-        raise RuntimeError("%s failed exact re-verification" % what)
+def _verified(pot, claimed, what):
+    """The one exact check of a public call: the carried potential is the claimed output."""
+    if not is_cyclically_equivalent(pot, claimed):
+        raise RuntimeError("%s failed the exact check" % what)
 
 
 def _normal_form_rounds(tq, z_pot, u_pot):
     """Yield the lengthening factors of the g-normal form of U; return W.
 
-    Z and U share one degree.  Checks termination, two-step growth, that
-    new puncture-power terms come out long enough, and that W holds only
-    puncture-cycle powers with short(W) ≥ short(U).
+    The carried potential is T+Z+U on entry and T+Z+W on return: each
+    round reads B off it.  Z and U share one degree.  Checks termination,
+    two-step growth, that new puncture-power terms come out long enough,
+    and that W holds only puncture-cycle powers with short(W) ≥ short(U).
     """
     d = u_pot.degree
     _check_disjoint_from_triangles(tq, z_pot, "Z")
     _check_disjoint_from_triangles(tq, u_pot, "U")
+    base = potential_T(tq, d) + z_pot
     first = split(tq, u_pot)
-    w, u = first.s_g, u_pot - first.s_g
-    shorts = [u.short]
+    w = first.s_g
+    parts = SplitPotential(first.s_f, Potential.zero(tq.quiver, d), first.s_fg)
+    shorts = [min(parts.s_f.short, parts.s_fg.short)]
     rounds = 0
-    while not u.is_zero:
+    while not (parts.s_f.is_zero and parts.s_fg.is_zero):
         rounds += 1
         if rounds > 2 * d + 4:
             raise RuntimeError("normal-form loop failed to terminate")
-        parts = split(tq, u)
         symbol = "f" if parts.s_f.short <= parts.s_fg.short else "fg"
-        phi_n, b_pot = lengthen(tq, symbol, z_pot + w, u)
-        b_parts = split(tq, b_pot)
+        pot = yield _lengthening(tq, symbol, parts, d)
+        b_parts = _lengthened(tq, symbol, parts, pot - base - w)
         if not b_parts.s_g.is_zero and b_parts.s_g.short < shorts[-1] + 1:
             raise RuntimeError("new puncture-power terms appeared too short")
         w = w + b_parts.s_g
-        u = b_pot - b_parts.s_g
-        shorts.append(u.short)
+        parts = SplitPotential(b_parts.s_f, parts.s_g, b_parts.s_fg)
+        shorts.append(min(parts.s_f.short, parts.s_fg.short))
         if len(shorts) >= 3 and shorts[-1] != inf and shorts[-1] < shorts[-3] + 1:
             raise RuntimeError(
                 "two-step growth violated: shorts %r" % (shorts[-3:],)
             )
-        yield phi_n
     final_parts = split(tq, w)
     if not (final_parts.s_f.is_zero and final_parts.s_fg.is_zero):
         raise RuntimeError("normal form retains non-puncture-power terms")
@@ -272,12 +266,14 @@ def g_normal_form(tq, z_pot, u_pot):
     d = min(z_pot.degree, u_pot.degree)
     z_pot = z_pot.truncate(d)
     u_pot = u_pot.truncate(d)
-    factors, w_pot = _run_stage(_normal_form_rounds(tq, z_pot, u_pot), d)
+    t_pot = potential_T(tq, d)
+    factors, pot, w_pot = _limit_factors(
+        _normal_form_rounds(tq, z_pot, u_pot), d, t_pot + z_pot + u_pot
+    )
     # the composite's depth is at least the least factor depth
     if not u_pot.is_zero and min((f.depth() for f in factors), default=inf) < u_pot.short - 3:
         raise RuntimeError("witness depth below short(U) - 3")
-    t_pot = potential_T(tq, d)
-    _reverify(factors, t_pot + z_pot + u_pot, t_pot + z_pot + w_pot, "normal-form witness")
+    _verified(pot, t_pot + z_pot + w_pot, "normal-form witness")
     return factors, w_pot
 
 
@@ -320,7 +316,7 @@ def _check_disjoint_from(base, pot, what):
 
 
 def _zeta_step(tq, xs, s_pot, m, t, u_pot, wd):
-    """The walk step of ``zeta_step`` with every check but the exact one."""
+    """ζ, W′-data and W′ of one walk step, after every hypothesis check."""
     q = tq.quiver
     d = u_pot.degree
     if t < 1:
@@ -355,14 +351,20 @@ def _zeta_step(tq, xs, s_pot, m, t, u_pot, wd):
     if zeta.depth() != short_w - 3:
         raise RuntimeError("unexpected step depth %s" % zeta.depth())
 
-    u_prime = zeta.apply(u_pot + w_pot) - (u_pot + w_pot)
-    if not u_prime.short > m:
-        raise RuntimeError("short(U') = %s is not > m = %d" % (u_prime.short, m))
     lam2 = -Fraction(wd.lam) * xs[tq.puncture_of(target)]
     c2 = q.path(wd.c.arrows + tq.g_path(tq.m_of(target) - 2, tq.g_of(target, 2)).arrows)
     if (t - 1) + 2 + len(c2) != tq.m_of(target) - 2 + short_w - 1:
         raise RuntimeError("short(W') does not match the predicted value")
-    return zeta, u_prime, WData(lam2, tq.g_of(a, -1), c2)
+    wd2 = WData(lam2, tq.g_of(a, -1), c2)
+    return zeta, wd2, _w_potential(tq, d, t - 1, wd2)
+
+
+def _step_residual(pot, rest, m):
+    """U′: the carried potential ζ(S+U+W) minus S+U+W′, checked to have short(U′) > m."""
+    u_prime = pot - rest
+    if not u_prime.short > m:
+        raise RuntimeError("short(U') = %s is not > m = %d" % (u_prime.short, m))
+    return u_prime
 
 
 def zeta_step(tq, x, m, t, u_pot, wd):
@@ -371,35 +373,38 @@ def zeta_step(tq, x, m, t, u_pot, wd):
     Substituting f⁻¹(a) ↦ f⁻¹(a) − λG(t, g^{-t}(a))c cancels W against the
     triangle term of f⁻¹(a) and converts the puncture term it sits on into
     the next cycle W′, one g-step shorter in t but longer overall.  Returns
-    (ζ, U′, W′-data) and verifies ζ(S+U+W) = S+U+U′+W′ exactly.
+    (ζ, U′, W′-data): ζ is applied once to S+U+W, U′ is what the image
+    holds beyond S+U+W′, and the image is checked to be S+U+U′+W′.
     """
     d = u_pot.degree
     xs = _coerce_x(tq, x)
     s_pot = potential_S(tq, xs, d)
-    zeta, u_prime, wd2 = _zeta_step(tq, xs, s_pot, m, t, u_pot, wd)
-    before = s_pot + u_pot + _w_potential(tq, d, t, wd)
-    after = s_pot + u_pot + u_prime + _w_potential(tq, d, t - 1, wd2)
-    _reverify((zeta,), before, after, "step identity")
+    zeta, wd2, w2_pot = _zeta_step(tq, xs, s_pot, m, t, u_pot, wd)
+    pot = zeta.apply(s_pot + u_pot + _w_potential(tq, d, t, wd))
+    u_prime = _step_residual(pot, s_pot + u_pot + w2_pot, m)
+    _verified(pot, s_pot + u_pot + u_prime + w2_pot, "step identity")
     return zeta, u_prime, wd2
 
 
 def _walk(tq, xs, s_pot, m, t, u_pot, wd):
-    """Yield the ζ-steps around the puncture, then the normal-form factors; return ξ."""
-    if len(wd.c) != 1:
-        raise ValueError("absorption needs the closing path c to be a single arrow")
+    """Yield the ζ-steps around the puncture, then the normal-form factors; return ξ.
+
+    The carried potential is S+U+W on entry and S+U+ξ on return; each
+    step reads its U′ off it.
+    """
     d = u_pot.degree
     z_sum = Potential.zero(tq.quiver, d)
-    while t >= 1:
-        if _w_potential(tq, d, t, wd).is_zero:
-            # The walked cycle grew past the truncation degree: nothing
-            # left to trade, the remaining steps are identities.
-            break
-        zeta, z_new, wd = _zeta_step(tq, xs, s_pot, m, t, u_pot + z_sum, wd)
-        z_sum = z_sum + z_new
+    w_pot = _w_potential(tq, d, t, wd)
+    # Once the walked cycle grows past the truncation degree there is
+    # nothing left to trade: the remaining steps are identities.
+    while t >= 1 and not w_pot.is_zero:
+        u_now = u_pot + z_sum
+        zeta, wd, w_pot = _zeta_step(tq, xs, s_pot, m, t, u_now, wd)
+        pot = yield zeta
+        z_sum = z_sum + _step_residual(pot, s_pot + u_now + w_pot, m)
         t -= 1
-        yield zeta
     z_pot = (s_pot - potential_T(tq, d)) + u_pot
-    xi = yield from _normal_form_rounds(tq, z_pot, z_sum + _w_potential(tq, d, t, wd))
+    xi = yield from _normal_form_rounds(tq, z_pot, z_sum + w_pot)
     if not xi.short > m:
         raise RuntimeError("short(ξ) = %s is not > m = %d" % (xi.short, m))
     return xi
@@ -412,17 +417,21 @@ def absorb_cycle(tq, x, m, t, u_pot, wd):
     t = 0.  Returns (factors, ξ): the ζ-steps and then the normal-form
     factors, in application order, each unitriangular of depth
     ≥ min(m−3, short(W)−3), which applied in turn carry S+U+W to S+U+ξ,
-    with ξ a sum of puncture-cycle powers, short(ξ) > m.
+    with ξ a sum of puncture-cycle powers, short(ξ) > m.  Each factor is
+    applied once, to the carried potential.
     """
+    if len(wd.c) != 1:
+        raise ValueError("absorption needs the closing path c to be a single arrow")
     d = u_pot.degree
     xs = _coerce_x(tq, x)
     s_pot = potential_S(tq, xs, d)
-    factors, xi = _run_stage(_walk(tq, xs, s_pot, m, t, u_pot, wd), d)
+    factors, pot, xi = _limit_factors(
+        _walk(tq, xs, s_pot, m, t, u_pot, wd), d, s_pot + u_pot + _w_potential(tq, d, t, wd)
+    )
     depth = min((f.depth() for f in factors), default=inf)
     if depth < min(m - 3, t + len(wd.c) - 1):  # short(W) - 3
         raise RuntimeError("absorption witness depth %s below bound" % depth)
-    before = s_pot + u_pot + _w_potential(tq, d, t, wd)
-    _reverify(factors, before, s_pot + u_pot + xi, "absorption witness")
+    _verified(pot, s_pot + u_pot + xi, "absorption witness")
     return factors, xi
 
 
@@ -431,15 +440,20 @@ def absorb_cycle(tq, x, m, t, u_pot, wd):
 # ----------------------------------------------------------------------
 
 def _power_table(tq, degree):
-    """Canonical rotation class of each puncture-cycle power up to the degree."""
-    table = {}
-    for p in tq.punctures:
-        word = tq.puncture_cycle(p.pid).arrows
-        n = 1
-        while n * p.valency <= degree:
-            key = canonicalize_rotation(tq.quiver, Path(word * n))
-            table[key] = (p.pid, n)
-            n += 1
+    """Canonical rotation class of each puncture-cycle power up to the degree.
+
+    Built once per quiver and degree: the quiver keeps it.
+    """
+    table = tq._power_tables.get(degree)
+    if table is None:
+        table = tq._power_tables[degree] = {}
+        for p in tq.punctures:
+            word = tq.puncture_cycle(p.pid).arrows
+            n = 1
+            while n * p.valency <= degree:
+                key = canonicalize_rotation(tq.quiver, Path(word * n))
+                table[key] = (p.pid, n)
+                n += 1
     return table
 
 
@@ -468,7 +482,9 @@ def absorb_g_powers(tq, x, v_pot):
     Returns the witness as its factor chain (υ₁, ζ…, φ…), a tuple in
     application order: applying the factors in turn carries S+V to S, and
     their composite is ``compose_all(factors, quiver, degree)``.  The
-    composite is never built; the chain is re-verified factor by factor.
+    composite is never built.  Each factor is applied once, to the carried
+    potential S+V, each stage reads its next state off the result, and
+    the final image is compared with S.
     """
     _require_conditions(tq)
     q = tq.quiver
@@ -523,11 +539,11 @@ def absorb_g_powers(tq, x, v_pot):
                 t = punc.valency * (r - 1)
                 wd = WData(-lam / xs[punc.pid], a_p, Path((tq.f_of(a_p, 2),)))
                 w_pot = _w_potential(tq, d, t, wd)
-                u_resid = upsilon.apply(s_pot + v) - s_pot - w_pot
+                pot = yield upsilon
+                u_resid = pot - s_pot - w_pot
                 if not u_resid.is_zero and u_resid.short < m:
                     raise RuntimeError("divide-out residual came out too short")
                 decompose_g_powers(tq, u_resid)  # must stay a sum of powers
-                yield upsilon
                 if w_pot.is_zero:
                     v = u_resid
                     continue
@@ -536,6 +552,6 @@ def absorb_g_powers(tq, x, v_pot):
             if not v.is_zero and v.short <= m:
                 raise RuntimeError("no progress: short stayed at %s" % v.short)
 
-    factors = _limit_factors(factor_stream(), d)
-    _reverify(factors, s_pot + v_pot, s_pot, "absorption witness")
+    factors, pot, _ = _limit_factors(factor_stream(), d, s_pot + v_pot)
+    _verified(pot, s_pot, "absorption witness")
     return factors

@@ -15,7 +15,7 @@ cyclic equivalence becomes dictionary equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
 
@@ -33,10 +33,13 @@ class Path:
 
     ``arrows`` is in written order (rightmost acts first).  A length-zero
     path carries its vertex in ``at``; longer paths leave ``at`` as None.
+    The hash is computed once, on construction: paths are the keys of
+    every term dictionary.
     """
 
     arrows: tuple
     at: object = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.arrows:
@@ -44,6 +47,10 @@ class Path:
                 raise ValueError("non-empty path must not carry a vertex")
         elif self.at is None:
             raise ValueError("empty path needs a vertex")
+        object.__setattr__(self, "_hash", hash((self.arrows, self.at)))
+
+    def __hash__(self):
+        return self._hash
 
     def __len__(self):
         return len(self.arrows)
@@ -81,6 +88,8 @@ class Quiver:
                 raise ValueError("arrow %r has endpoint outside vertex set" % a.name)
             self._by_name[a.name] = a
         self._rank = {a.name: i for i, a in enumerate(self.arrows)}
+        self._tails = {a.name: a.tail for a in self.arrows}
+        self._heads = {a.name: a.head for a in self.arrows}
         out, inn = {v: [] for v in self.vertices}, {v: [] for v in self.vertices}
         for a in self.arrows:
             out[a.tail].append(a)
@@ -125,6 +134,11 @@ class Quiver:
                 raise ValueError("unknown vertex %r" % (p.at,))
             return
         w = p.arrows
+        heads = self._heads
+        if heads.keys() >= set(w) and (
+            list(map(self._tails.__getitem__, w[:-1])) == list(map(heads.__getitem__, w[1:]))
+        ):
+            return
         for nm in w:
             if nm not in self._by_name:
                 raise ValueError("unknown arrow %r" % (nm,))
@@ -206,7 +220,9 @@ def canonicalize_rotation(quiver, p):
     w = p.arrows
     key = list(map(quiver._rank.__getitem__, w))
     low = min(key)
-    starts = [i for i, k in enumerate(key) if k == low]
+    starts = [key.index(low)]
+    for _ in range(key.count(low) - 1):
+        starts.append(key.index(low, starts[-1] + 1))
     if len(starts) == 1:
         best = starts[0]
     else:

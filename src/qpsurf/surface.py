@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import eq, or_
 from types import MappingProxyType
 
 from .path_algebra import Path, Potential, Quiver, canonicalize_rotation
@@ -237,6 +238,7 @@ class TriangulationQuiver:
         self.punctures = tuple(punctures)
         self.g_inv = {v: k for k, v in self.g.items()}
         self._cycle_classes = {}  # classify_cycle's memo: given cycle -> CycleClass
+        self._power_tables = {}  # normalize._power_table's memo: degree -> table
 
     # -- permutations --------------------------------------------------
 
@@ -269,18 +271,23 @@ class TriangulationQuiver:
 
     def g_path(self, r, beta):
         """G(r, β) = g^{r-1}(β) ··· g(β) β; the lazy path at tail(β) for r = 0."""
-        return self._orbit_path(self.g_of, r, beta)
+        return self._orbit_path(self.g, r, beta)
 
     def f_path(self, r, beta):
         """F(r, β) = f^{r-1}(β) ··· f(β) β; the lazy path at tail(β) for r = 0."""
-        return self._orbit_path(self.f_of, r, beta)
+        return self._orbit_path(self.f, r, beta)
 
     def _orbit_path(self, step, r, beta):
+        """The orbit word of β under the permutation ``step``, one step per letter."""
         if r < 0:
             raise ValueError("negative path length")
         if r == 0:
             return self.quiver.lazy_path(self.quiver.tail(beta))
-        return Path(tuple(step(beta, r - 1 - i) for i in range(r)))
+        word = [beta]
+        for _ in range(r - 1):
+            word.append(step[word[-1]])
+        word.reverse()
+        return Path(tuple(word))
 
     def puncture_cycle(self, key):
         """𝒢: the full g-cycle around a puncture (by pid or by member arrow)."""
@@ -482,21 +489,15 @@ class CycleClass:
     remainder: Path = None
 
 
-def _step_symbols(tq, word):
-    """For each adjacent written pair, whether it is an f-step or a g-step."""
-    syms = []
-    n = len(word)
-    for i in range(n):
-        nxt = word[(i + 1) % n]
-        if word[i] == tq.f[nxt]:
-            syms.append("f")
-        elif word[i] == tq.g[nxt]:
-            syms.append("g")
-        else:
-            raise ValueError(
-                "not a cycle of this quiver: %r cannot follow %r" % (word[i], nxt)
-            )
-    return syms
+def _f_steps(tq, word):
+    """For each adjacent written pair, whether it is an f-step; every other pair is a g-step."""
+    nxt = word[1:] + word[:1]
+    f_steps = list(map(eq, word, map(tq.f.__getitem__, nxt)))
+    if not all(map(or_, f_steps, map(eq, word, map(tq.g.__getitem__, nxt)))):
+        for a, b, is_f in zip(word, nxt, f_steps):
+            if not is_f and a != tq.g[b]:
+                raise ValueError("not a cycle of this quiver: %r cannot follow %r" % (a, b))
+    return f_steps
 
 
 def classify_cycle(tq, cycle):
@@ -511,30 +512,40 @@ def classify_cycle(tq, cycle):
     _require_conditions(tq)
     cls = tq._cycle_classes.get(cycle)
     if cls is None:
-        cls = tq._cycle_classes[cycle] = _classify(tq, cycle)
+        if not tq.quiver.is_cycle(cycle):
+            raise ValueError("not a cycle: %r" % (cycle,))
+        canon = canonicalize_rotation(tq.quiver, cycle)
+        cls = tq._cycle_classes[cycle] = _classify(tq, canon, cycle)
     return cls
 
 
-def _classify(tq, cycle):
-    """The trichotomy worked out from the word itself, without the memo."""
-    if not tq.quiver.is_cycle(cycle):
-        raise ValueError("not a cycle: %r" % (cycle,))
-    canon = canonicalize_rotation(tq.quiver, cycle)
+def _classify_key(tq, key):
+    """``classify_cycle`` of a potential's key, for a caller that checked the conditions.
+
+    A potential's keys are canonical rotations already, so a key the memo
+    lacks is classified without canonicalizing it again.
+    """
+    cls = tq._cycle_classes.get(key)
+    if cls is None:
+        cls = tq._cycle_classes[key] = _classify(tq, key, key)
+    return cls
+
+
+def _classify(tq, canon, cycle):
+    """The trichotomy worked out from the canonical rotation of ``cycle``, without the memo."""
     word = canon.arrows
-    syms = _step_symbols(tq, word)
-    if all(s == "f" for s in syms):
+    f_steps = _f_steps(tq, word)
+    if all(f_steps):
         if len(word) % 3 != 0:
             raise RuntimeError("f-cycle %r is not a power of a triangle cycle" % (cycle,))
         return CycleClass("F", n=len(word) // 3, base=word[-1])
-    if all(s == "g" for s in syms):
+    if not any(f_steps):
         m = tq.m_of(word[-1])
         if len(word) % m != 0:
             raise RuntimeError("g-cycle %r is not a power of a puncture cycle" % (cycle,))
         return CycleClass("G", n=len(word) // m, base=word[-1])
     n = len(word)
-    start = next(
-        i for i in range(n) if syms[i] == "f" and syms[(i + 1) % n] == "g"
-    )
+    start = next(i for i in range(n) if f_steps[i] and not f_steps[(i + 1) % n])
     rot = word[start:] + word[:start]
     a = tq.f_inv[rot[1]]
     remainder = Path(rot[3:])

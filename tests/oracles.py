@@ -18,15 +18,10 @@ from qpsurf.path_algebra import Path
 def naive_min_rotation(quiver, p):
     """Try every rotation, keep the one with the smallest rank sequence."""
     w = p.arrows
-    best = None
-    best_key = None
-    for i in range(len(w)):
-        rot = w[i:] + w[:i]
-        key = tuple(quiver.rank(nm) for nm in rot)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = rot
-    return Path(best)
+    n = len(w)
+    ranks = tuple(quiver.rank(nm) for nm in w) * 2
+    best = min(range(n), key=lambda i: ranks[i : i + n])
+    return Path(w[best:] + w[:best])
 
 
 # ----------------------------------------------------------------------
@@ -87,6 +82,56 @@ def naive_apply(phi, x):
 
 def element_words(el):
     return {p.arrows: c for p, c in el.terms.items()}
+
+
+def apply_in_turn(factors, pot):
+    """The words of a potential with a factor chain applied in turn.
+
+    The exact check a returned chain stands for.  Words are kept in their
+    minimal rotation (``naive_min_rotation``), and words of one rotation
+    class are merged.  A factor fixes a word that holds none of its rule
+    arrows; in any other word it replaces every arrow by its image terms,
+    shortest first, letter by letter, dropping a partial word once it and
+    one arrow per letter still to come exceed the degree (every image lies
+    in the arrow ideal).  Returns {word: coefficient}, comparable with
+    ``element_words`` of the claimed output.
+    """
+    q = pot.quiver
+    d = pot.degree
+
+    def merge(pairs):
+        out = {}
+        for w, c in pairs:
+            out[w] = out.get(w, 0) + c
+        return {w: c for w, c in out.items() if c != 0}
+
+    words = merge((naive_min_rotation(q, p).arrows, c) for p, c in pot.terms.items())
+    for phi in factors:
+        d = min(d, phi.degree)
+        images = {
+            name: sorted(element_words(img).items(), key=lambda rc: len(rc[0]))
+            for name, img in phi.rules.items()
+        }
+        pairs = []
+        for word, c in words.items():
+            if len(word) > d:
+                continue
+            if images.keys().isdisjoint(word):
+                pairs.append((word, c))
+                continue
+            acc = {(): c}
+            for i, nm in enumerate(word):
+                rest = len(word) - i - 1
+                nxt = {}
+                for w, cw in acc.items():
+                    for r, cr in images.get(nm, [((nm,), 1)]):
+                        if len(w) + len(r) + rest > d:
+                            break
+                        nxt[w + r] = nxt.get(w + r, 0) + cw * cr
+                acc = nxt
+            pairs += ((naive_min_rotation(q, Path(w)).arrows, cw) for w, cw in acc.items())
+        words = merge(pairs)
+    return words
 
 
 # ----------------------------------------------------------------------

@@ -305,9 +305,9 @@ class TestComposition:
     def test_applying_factors_in_turn_equals_their_composite(
         self, fig_tq, torus_tq, which, seed, count, degree
     ):
-        # The absorption witness is re-verified factor by factor and
-        # reported as its factor chain; this is the identity that makes the
-        # chain and its composite agree, exactly modulo the truncation.
+        # The absorption witness is applied factor by factor and reported
+        # as its factor chain; this is the identity that makes the chain
+        # and its composite agree, exactly modulo the truncation.
         q = {"fig": fig_tq.quiver, "torus": torus_tq.quiver}[which]
         rng = random.Random(seed)
         factors = [

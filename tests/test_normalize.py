@@ -1,15 +1,19 @@
 """The normalization pipeline: trichotomy split, triangle rescaling, the
 lengthening trade, the g-normal form loop, single ζ steps, and the two
-absorption routines.  Every returned witness is re-verified here by
-applying it to the input and comparing exactly."""
+absorption routines.  Each public call applies every factor of its
+witness once, to the carried potential, and compares the result with its
+claimed output once; the tests here check every returned witness again
+by applying its factors to the input in turn."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from qpsurf import normalize
+from qpsurf.cli import random_cycle_potential
 from qpsurf.endo import REndomorphism, compose_all
 from qpsurf.normalize import (
     WData,
@@ -151,13 +155,6 @@ class TestLengthen:
             lengthen(fig_tq, "f", Potential.zero(q, d), bad)
 
 
-def apply_chain(factors, pot):
-    """pot with the factors applied in turn."""
-    for phi in factors:
-        pot = phi.apply(pot)
-    return pot
-
-
 def depths(factors, quiver, degree):
     """(depth of the composite, least depth of a factor) of a factor chain."""
     least = min((phi.depth() for phi in factors), default=float("inf"))
@@ -171,7 +168,7 @@ class TestGNormalForm:
         u_pot = Potential(q, d, {Path(fig_tq.triangle_cycle(0).arrows * 2): 1})
         factors, w_pot = g_normal_form(fig_tq, Potential.zero(q, d), u_pot)
         t_pot = potential_T(fig_tq, d)
-        assert is_cyclically_equivalent(apply_chain(factors, t_pot + u_pot), t_pot + w_pot)
+        assert oracles.apply_in_turn(factors, t_pot + u_pot) == oracles.element_words(t_pot + w_pot)
         parts = split(fig_tq, w_pot)
         assert parts.s_f.is_zero and parts.s_fg.is_zero
         assert w_pot.is_zero or w_pot.short >= 6
@@ -186,7 +183,7 @@ class TestGNormalForm:
             u_pot = fig_random_potential(fig_tq, d, rng, lengths=(4, 6))
             factors, w_pot = g_normal_form(fig_tq, Potential.zero(q, d), u_pot)
             t_pot = potential_T(fig_tq, d)
-            assert is_cyclically_equivalent(apply_chain(factors, t_pot + u_pot), t_pot + w_pot)
+            assert oracles.apply_in_turn(factors, t_pot + u_pot) == oracles.element_words(t_pot + w_pot)
             assert w_pot.is_zero or w_pot.short >= u_pot.short
             assert split(fig_tq, w_pot).s_f.is_zero
             whole, least = depths(factors, q, d)
@@ -283,7 +280,7 @@ class TestAbsorbCycle:
         factors, xi = absorb_cycle(fig_tq, xs, 8, t, u_pot, wd)
         s_pot = potential_S(fig_tq, xs, d)
         w0 = Potential(q, d, {w_cycle(fig_tq, t, wd): wd.lam})
-        assert is_cyclically_equivalent(apply_chain(factors, s_pot + w0), s_pot + xi)
+        assert oracles.apply_in_turn(factors, s_pot + w0) == oracles.element_words(s_pot + xi)
         assert xi.short > 8
         decompose_g_powers(fig_tq, xi)  # puncture-cycle powers only
         whole, least = depths(factors, q, d)
@@ -329,8 +326,23 @@ class TestAbsorbGPowers:
             absorb_g_powers(torus_tq, 1, Potential.zero(torus_tq.quiver, 20))
 
 
+def one_check_inputs(tq):
+    """The chain-returning calls of ``TestOneExactCheck``, each returning its factors."""
+    q = tq.quiver
+    hub2 = Path(tq.puncture_cycle("p1").arrows * 2)
+    tri2 = Path(tq.triangle_cycle(0).arrows * 2)
+    wd = WData(Fraction(-1), "a1", Path((tq.f_of("a1", 2),)))
+    return {
+        "absorb_g_powers": lambda: absorb_g_powers(tq, (1, 1), Potential(q, 24, {hub2: 1})),
+        "absorb_cycle": lambda: absorb_cycle(tq, (1, 1), 8, 4, Potential.zero(q, 24), wd)[0],
+        "g_normal_form": lambda: g_normal_form(
+            tq, Potential.zero(q, 20), Potential(q, 20, {tri2: 1})
+        )[0],
+    }
+
+
 class TestOneExactCheck:
-    """Each public call re-applies its witness once; nested stages never do."""
+    """Each public call applies each factor once and compares once; nested stages never do."""
 
     @pytest.fixture
     def checks(self, monkeypatch):
@@ -345,42 +357,57 @@ class TestOneExactCheck:
         return calls
 
     @pytest.fixture
-    def corrupt_lengthen(self, monkeypatch):
-        """Make lengthen return a factor whose corrections are doubled.
+    def applied(self, monkeypatch):
+        """Every endomorphism applied to a potential, in order."""
+        record = []
+        apply = REndomorphism.apply
 
-        The state it returns stays right, so every cheap invariant still
-        holds and only the exact check of the composite can notice.
+        def recorded(phi, x):
+            if isinstance(x, Potential):
+                record.append(phi)
+            return apply(phi, x)
+
+        monkeypatch.setattr(REndomorphism, "apply", recorded)
+        return record
+
+    @pytest.fixture
+    def corrupt_lengthen(self, monkeypatch):
+        """Double the corrections of every lengthening factor the stream yields.
+
+        The stream applies the corrupted factor to the carried potential,
+        so the B it reads off is wrong and a lengthening check must fire.
         """
         calls = []
-        honest = normalize.lengthen
+        honest = normalize._lengthening
 
-        def corrupted(tq, symbol, w_pot, a_pot):
-            phi, b_pot = honest(tq, symbol, w_pot, a_pot)
+        def corrupted(tq, symbol, parts, degree):
+            phi = honest(tq, symbol, parts, degree)
             calls.append(1)
             rules = {
                 name: img + img - TruncatedElement.from_arrow(phi.quiver, phi.degree, name)
                 for name, img in phi.rules.items()
             }
-            return REndomorphism(phi.quiver, phi.degree, rules), b_pot
+            return REndomorphism(phi.quiver, phi.degree, rules)
 
-        monkeypatch.setattr(normalize, "lengthen", corrupted)
+        monkeypatch.setattr(normalize, "_lengthening", corrupted)
         return calls
 
+    @pytest.mark.parametrize("call", ["absorb_g_powers", "absorb_cycle", "g_normal_form"])
+    def test_each_factor_is_applied_once(self, fig_tq, applied, call):
+        factors = one_check_inputs(fig_tq)[call]()
+        assert factors
+        assert [id(phi) for phi in applied] == [id(phi) for phi in factors]
+
     def test_absorb_g_powers(self, fig_tq, checks):
-        q = fig_tq.quiver
-        v_pot = Potential(q, 24, {Path(fig_tq.puncture_cycle("p1").arrows * 2): 1})
-        absorb_g_powers(fig_tq, (1, 1), v_pot)
+        one_check_inputs(fig_tq)["absorb_g_powers"]()
         assert len(checks) == 1
 
     def test_absorb_cycle(self, fig_tq, checks):
-        wd = WData(Fraction(-1), "a1", Path((fig_tq.f_of("a1", 2),)))
-        absorb_cycle(fig_tq, (1, 1), 8, 4, Potential.zero(fig_tq.quiver, 24), wd)
+        one_check_inputs(fig_tq)["absorb_cycle"]()
         assert len(checks) == 1
 
     def test_g_normal_form(self, fig_tq, checks):
-        q = fig_tq.quiver
-        u_pot = Potential(q, 20, {Path(fig_tq.triangle_cycle(0).arrows * 2): 1})
-        g_normal_form(fig_tq, Potential.zero(q, 20), u_pot)
+        one_check_inputs(fig_tq)["g_normal_form"]()
         assert len(checks) == 1
 
     def test_zeta_step(self, torus_tq, checks):
@@ -389,18 +416,56 @@ class TestOneExactCheck:
         assert len(checks) == 1
 
     def test_corrupt_lengthening_fails_absorption(self, fig_tq, corrupt_lengthen):
-        q = fig_tq.quiver
-        v_pot = Potential(q, 24, {Path(fig_tq.puncture_cycle("p1").arrows * 2): 1})
-        with pytest.raises(RuntimeError, match="re-verification"):
-            absorb_g_powers(fig_tq, (1, 1), v_pot)
+        with pytest.raises(RuntimeError, match="lengthening inequalities"):
+            one_check_inputs(fig_tq)["absorb_g_powers"]()
         assert corrupt_lengthen
 
     def test_corrupt_lengthening_fails_normal_form(self, fig_tq, corrupt_lengthen):
-        q = fig_tq.quiver
-        u_pot = Potential(q, 20, {Path(fig_tq.triangle_cycle(0).arrows * 2): 1})
-        with pytest.raises(RuntimeError, match="re-verification"):
-            g_normal_form(fig_tq, Potential.zero(q, 20), u_pot)
+        with pytest.raises(RuntimeError, match="lengthening inequalities"):
+            one_check_inputs(fig_tq)["g_normal_form"]()
         assert corrupt_lengthen
+
+
+def power_sums(tq, degree):
+    """A strategy for sums of second and higher puncture-cycle powers up to the degree."""
+    powers = [
+        Path(tq.puncture_cycle(p.pid).arrows * n)
+        for p in tq.punctures
+        for n in range(2, degree // p.valency + 1)
+    ]
+    coeffs = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)])
+    return st.dictionaries(st.sampled_from(powers), coeffs, min_size=1, max_size=3).map(
+        lambda terms: Potential(tq.quiver, degree, terms)
+    )
+
+
+class TestChainsApplyToTheirClaims:
+    """The returned factors, applied in turn to the input by the naive oracle,
+    give the claimed output."""
+
+    @pytest.mark.parametrize("genus", [1, 2])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_absorb_g_powers(self, fig_tq, fig_g2_tq, genus, data):
+        tq = fig_tq if genus == 1 else fig_g2_tq
+        d = data.draw(st.integers(16, 28), label="D")
+        x = data.draw(st.sampled_from([(1, 1), (2, -1), (Fraction(1, 2), 3)]), label="x")
+        v_pot = data.draw(power_sums(tq, d), label="V")
+        factors = absorb_g_powers(tq, x, v_pot)
+        s_pot = potential_S(tq, x, d)
+        assert oracles.apply_in_turn(factors, s_pot + v_pot) == oracles.element_words(s_pot)
+
+    @settings(max_examples=8, deadline=None)
+    @given(d=st.integers(16, 28), seed=st.integers(0, 10**6), with_z=st.booleans())
+    def test_g_normal_form(self, fig_tq, d, seed, with_z):
+        q = fig_tq.quiver
+        u_pot = random_cycle_potential(fig_tq, d, random.Random(seed))
+        z_pot = potential_S(fig_tq, (2, -1), d) - potential_T(fig_tq, d) if with_z else Potential.zero(q, d)
+        factors, w_pot = g_normal_form(fig_tq, z_pot, u_pot)
+        t_pot = potential_T(fig_tq, d)
+        assert oracles.apply_in_turn(factors, t_pot + z_pot + u_pot) == oracles.element_words(
+            t_pot + z_pot + w_pot
+        )
 
 
 class TestDecomposeGPowers:
