@@ -18,8 +18,10 @@ kill threshold, the least length from which a kill rule it contains
 applies (see _Kills); a shifted path tests only the rules that start or
 end with the new arrow, so elimination never unranks a row's path.  A
 one-term row needs no elimination: it is a new lead unless its path is
-killed or a lead already.  Coefficients stay plain ints while integral
-(``exact_coefficient``).
+killed or a lead already.  A one-term pivot is shifted without building a
+row at all: each shift is one index, placed at once, and only a shift onto
+a multi-term lead is reduced; a killed left shift of one is not recorded.
+Coefficients stay plain ints while integral (``exact_coefficient``).
 
 Finiteness certificate: if at some length L every path of that length
 either vanishes by a far-band rule or is a pivot, each of them rewrites
@@ -149,11 +151,9 @@ class TruncatedQuotient:
         """The paths that are neither pivot leads nor killed, below the
         certificate length, or in the whole window when uncertified."""
         cutoff = self.certificate_length if self.certified else self.degree + 1
-        return tuple(
-            self._index.unrank(pid)
-            for pid in range(self._index.offsets[cutoff])
-            if pid not in self._pivots and not self._kills.killed_pid(pid)
-        )
+        unrank, killed = self._index.unrank, self._kills.killed_word
+        paths = (unrank(pid) for pid in range(self._index.offsets[cutoff]) if pid not in self._pivots)
+        return tuple(p for p in paths if not killed(p.arrows))
 
     def _pid(self, p):
         """The index of a Path or a word, once checked to be a path of the window."""
@@ -195,8 +195,9 @@ class _Kills:
         # those that end with it: what a path can newly contain once that
         # arrow is put on its left or right.
         self.starts, self.ends = {}, {}
-        # pid -> killed?  _Shifts fills it for the paths that rows use;
-        # killed_pid falls back to unranking only for other indices.
+        # pid -> killed?  _Shifts fills it for the paths that rows use; a
+        # killed left shift of a one-term pivot is dropped unrecorded (see
+        # _quotient).  killed_pid falls back to unranking for other indices.
         self.memo = {}
 
     def add(self, word, min_length):
@@ -266,7 +267,10 @@ class _Shifts:
     (pid, b); its threshold follows from the source's by the rules that
     start or end with b (see _Kills), so every kill rule is added before
     the first path.  Each new path's kill status goes to the kill memo, so
-    elimination never unranks it.
+    elimination never unranks it.  A one-term pivot is shifted by _quotient
+    from its entry alone, without a row: its left shifts by the same
+    arithmetic, its right shifts through ``right_of``; a killed left shift
+    of one gets no entry.
     """
 
     def __init__(self, index, kills):
@@ -296,19 +300,20 @@ class _Shifts:
             row[new] = c
         return row
 
+    def right_of(self, pid, b):
+        """The index of the path ``pid`` times arrow b on its right, recorded if new."""
+        new = self.rights.get((pid, b))
+        if new is None:
+            word, thr, _ = self.state[pid]
+            longer = word + (b,)
+            new = self.rights[pid, b] = self.index.pid(longer)
+            if new not in self.state:
+                self._new(new, longer, self.kills.right_threshold(word, b, thr))
+        return new
+
     def right(self, terms, b):
         """The row of (pid, coefficient) terms times arrow b, on its right."""
-        state, rights, row = self.state, self.rights, {}
-        for pid, c in terms:
-            new = rights.get((pid, b))
-            if new is None:
-                word, thr, _ = state[pid]
-                longer = word + (b,)
-                new = rights[pid, b] = self.index.pid(longer)
-                if new not in state:
-                    self._new(new, longer, self.kills.right_threshold(word, b, thr))
-            row[new] = c
-        return row
+        return {self.right_of(pid, b): c for pid, c in terms}
 
 
 def _avoid_counts(quiver, words, upto):
@@ -320,6 +325,11 @@ def _avoid_counts(quiver, words, upto):
     """
     wordset = {tuple(w) for w in words}
     K = max(len(w) for w in wordset)
+    # length -> the words of that length: an occurrence that completes at
+    # the new letter is the suffix of that length of the window.
+    by_length = {}
+    for w in wordset:
+        by_length.setdefault(len(w), set()).add(w)
     counts = [0] * (upto + 1)
     counts[0] = len(quiver.vertices)
     if upto == 0:
@@ -337,7 +347,7 @@ def _avoid_counts(quiver, words, upto):
         for (tail, win), cnt in states.items():
             for b in quiver.arrows_in[tail]:
                 ext = win + (b.name,)
-                if any(ext[-len(w):] == w for w in wordset):
+                if any(ext[-k:] in ws for k, ws in by_length.items()):
                     continue
                 key = (b.tail, ext[1 - K:] if K > 1 else ())
                 nxt[key] = nxt.get(key, 0) + cnt
@@ -485,7 +495,12 @@ def _quotient(qp, degree, nonzero, maxgen):
                 kills.add(at_min[0].arrows, band_min)
 
     shifts = _Shifts(index, kills)
-    state = shifts.state
+    state, memo, right_of = shifts.state, kills.memo, shifts.right_of
+    offsets, below, left_threshold = index.offsets, index.below, kills.left_threshold
+    heads = {a.name: a.head for a in q.arrows}
+    tails = {a.name: a.tail for a in q.arrows}
+    lefts_at = {v: [(b.name, index.first[b.name]) for b in q.arrows_out[v]] for v in q.vertices}
+    rights_at = {v: [b.name for b in q.arrows_in[v]] for v in q.vertices}
     pivots = {}
     fresh = deque()
 
@@ -505,26 +520,63 @@ def _quotient(qp, degree, nonzero, maxgen):
     # never sums two terms into one index.
     while fresh:
         lead, left_born = fresh.popleft()
-        terms = [(pid, c) for pid, c in pivots[lead].items() if len(state[pid][0]) < degree]
-        if not terms:
-            continue
-        pid = terms[0][0]  # every term of a row has the same endpoints
-        word = state[pid][0]
+        row = pivots[lead]
+        word, thr, base = state[lead]  # every term of a row has the lead's endpoints
+        n = len(word)
         if word:
-            head, tail = q.head(word[0]), q.tail(word[-1])
+            head, tail = heads[word[0]], tails[word[-1]]
         else:
-            head = tail = q.vertices[pid]
-        lefts = q.arrows_out[head]
-        rights = () if left_born else q.arrows_in[tail]
+            head = tail = q.vertices[lead]
+        lefts = lefts_at[head]
+        rights = () if left_born else rights_at[tail]
+        if len(row) > 1:
+            terms = [(pid, c) for pid, c in row.items() if len(state[pid][0]) < degree]
+            if not terms:
+                continue
+            rows += len(lefts) + len(rights)
+            for b, _ in lefts:
+                install(shifts.left(terms, b), True)
+            for b in rights:
+                install(shifts.right(terms, b), False)
+            continue
+        if n >= degree:
+            continue
+        # A one-term pivot {w: 1}: each shift is one path, which is a new
+        # one-term pivot unless it is killed or a lead already; only a
+        # multi-term lead there needs _install to reduce it.  A killed left
+        # shift is dropped before it gets a state entry.
         rows += len(lefts) + len(rights)
-        for b in lefts:
-            install(shifts.left(terms, b.name), True)
+        for b, first in lefts:
+            new = base + first[n]
+            if new in pivots:
+                if len(pivots[new]) > 1:
+                    install({new: 1}, True)
+                continue
+            entry = state.get(new)
+            if entry is None:
+                t = left_threshold(b, word, thr)
+                if n + 1 >= t:
+                    continue
+                # _PathIndex.left_base of the new path, whose first letter is b
+                state[new] = ((b,) + word, t,
+                              new - offsets[n + 1] + offsets[n + 2] + below[b][n] - first[n])
+                memo[new] = False
+            elif n + 1 >= entry[1]:
+                continue
+            pivots[new] = {new: 1}
+            fresh.append((new, True))
         for b in rights:
-            install(shifts.right(terms, b.name), False)
+            new = right_of(lead, b)
+            if new in pivots:
+                if len(pivots[new]) > 1:
+                    install({new: 1}, False)
+            elif n + 1 < state[new][1]:
+                pivots[new] = {new: 1}
+                fresh.append((new, False))
 
     pivots_at = [0] * (degree + 1)
     for lead in pivots:
-        pivots_at[index.length_of(lead)] += 1
+        pivots_at[len(state[lead][0])] += 1
     killed_at = kills.counts(q, index.totals, degree)
     computed = [
         index.totals[l] - pivots_at[l] - killed_at[l] for l in range(degree + 1)

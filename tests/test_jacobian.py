@@ -380,6 +380,83 @@ class TestLowestCertifyingDegree:
             quotient_dimension(torus_qp(torus_tq, 1, 6))
 
 
+class TestKills:
+    @pytest.mark.parametrize("spec,x,above", [("torus", 1, 7), ("genus2p:1", (1, 1), 2)])
+    def test_counts_match_brute_force(self, spec, x, above):
+        # torus n = 1 at D = 12; genus2p:1 at its lowest admissible degree, L + 2
+        qp = walked_qp(spec, x, 1, above=above)
+        quo, _ = quotient_dimension(qp, qp.degree)
+        kills, q = quo._kills, qp.quiver
+        assert kills.rules
+        want = [0] * (qp.degree + 1)
+        for p in oracles.graded_lex_paths(q, qp.degree):
+            want[len(p.arrows)] += oracles.killed_by_rules(p.arrows, kills.rules)
+        assert kills.counts(q, quo._index.totals, qp.degree) == want
+        assert any(want)
+
+    def test_memo_holds_only_true_kill_states(self, torus_tq):
+        # Every index the elimination recorded, including the shifts of
+        # one-term pivots, has its true kill state; killed shifts of those
+        # pivots are not recorded, so reduction unranks them.
+        quo, _ = quotient_dimension(torus_qp(torus_tq, 1, 12), 12)
+        index, kills = quo._index, quo._kills
+        for pid, hit in kills.memo.items():
+            assert hit == kills.killed_word(index.unrank(pid).arrows)
+        outside = [
+            p for i, p in enumerate(oracles.graded_lex_paths(torus_tq.quiver, quo.degree))
+            if i not in kills.memo
+        ]
+        killed = [p for p in outside if kills.killed_word(p.arrows)]
+        assert killed and len(killed) < len(outside)
+        for p in outside[::7]:
+            pid = index.pid(p.arrows, p.at)
+            want = pid not in quo._pivots and not kills.killed_word(p.arrows)
+            assert quo.is_basis_path(p) == want
+        for p in killed[::7]:
+            assert quo.reduce_path(p) == {}
+        assert all(kills.memo[index.pid(p.arrows)] for p in killed[::7])
+
+    def test_g_path_check_unranks_outside_the_memo(self, torus_tq):
+        quo, _ = quotient_dimension(torus_qp(torus_tq, 2, 18), 18)
+        quo._kills.memo.clear()
+        assert g_path_independence_check(torus_tq, quo, 2)
+        assert quo._kills.memo
+        for pid, hit in quo._kills.memo.items():
+            assert hit == quo._kills.killed_word(quo._index.unrank(pid).arrows)
+
+
+class TestWindowClosure:
+    """Every one-term pivot's composable shifts inside the window are leads
+    or killed: the span of the pivots and the killed paths is closed under
+    arrows on both sides, whichever side each pivot was shifted on."""
+
+    @pytest.mark.parametrize("flips", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "spec,x,n,above",
+        [("torus", 1, 1, 7), ("torus", Fraction(-1, 3), 2, 7), ("torus", 1, 3, 7),
+         ("genus2p:1", (1, Fraction(3, 2)), 1, 6)],
+    )
+    def test_one_term_pivots_shift_into_the_span(self, spec, x, n, above, flips):
+        # torus at D = 6n + 6, genus2p:1 at D = 13 (L + 6), then seeded flips
+        qp = walked_qp(spec, x, n, flips, seed=flips, above=above)
+        quo, certified = quotient_dimension(qp, qp.degree)
+        assert certified
+        q, index, kills, pivots = qp.quiver, quo._index, quo._kills, quo._pivots
+        singles = 0
+        for lead, row in pivots.items():
+            p = index.unrank(lead)
+            if len(row) > 1 or len(p.arrows) >= quo.degree:
+                continue
+            singles += 1
+            head = q.head(p.arrows[0]) if p.arrows else p.at
+            tail = q.tail(p.arrows[-1]) if p.arrows else p.at
+            shifted = [(b.name,) + p.arrows for b in q.arrows_out[head]]
+            shifted += [p.arrows + (b.name,) for b in q.arrows_in[tail]]
+            for word in shifted:
+                assert index.pid(word) in pivots or kills.killed_word(word), word
+        assert singles
+
+
 @pytest.fixture(scope="module")
 def quo(torus_tq):
     qp = torus_qp(torus_tq, 1, 12)
