@@ -141,7 +141,11 @@ def load_triangulation(spec):
         return _load_object(spec, Triangulation.from_json_dict)
     if spec == "torus":
         return once_punctured_torus()
-    return twice_punctured_genus(int(spec.split(":", 1)[1]))
+    try:
+        genus = int(spec.split(":", 1)[1])
+    except ValueError:
+        raise ValueError("triangulation %r: the genus must be a positive integer" % spec) from None
+    return twice_punctured_genus(genus)
 
 
 def _surface(spec):
@@ -332,7 +336,8 @@ def cmd_mutate(args):
     t0 = time.perf_counter()
     red, witness = mutate(qp, k)
     timings = {"mutate": time.perf_counter() - t0}
-    # reduce raises unless its witness rechecks, so the recheck row is PASS.
+    # reduce raises unless its factors, applied once, leave no term through
+    # a paired arrow or shorter than 3, so the recheck row is PASS.
     details = [
         "vertex: %r" % (k,),
         "premutated arrows: %d" % len(witness.premutated.quiver.arrows),

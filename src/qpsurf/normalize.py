@@ -72,14 +72,16 @@ def split(tq, pot):
     return SplitPotential(*(Potential._raw(tq.quiver, pot.degree, t) for t in buckets.values()))
 
 
-def _check_disjoint_from_triangles(tq, pot, what):
-    tri = tq.triangle_cycles
-    hits = [p for p in pot.terms if p in tri]
-    if hits:
-        raise ValueError(
-            "%s must be rotationally disjoint from the triangle cycles; "
-            "offending terms: %r" % (what, hits)
-        )
+_TRIANGLES = "must be rotationally disjoint from the triangle cycles; offending terms"
+_BASE = "shares rotation classes with the base potential"
+
+
+def _check_disjoint(keys, relation, **parts):
+    """Raise naming the terms of each part whose keys lie in the mapping ``keys``."""
+    for what, pot in parts.items():
+        hits = [p for p in pot.terms if p in keys]
+        if hits:
+            raise ValueError("%s %s: %r" % (what, relation, hits))
 
 
 def normalize_triangle_coefficients(tq, pot):
@@ -127,8 +129,7 @@ def lengthen(tq, symbol, w_pot, a_pot):
     d = min(w_pot.degree, a_pot.degree)
     w_pot = w_pot.truncate(d)
     a_pot = a_pot.truncate(d)
-    _check_disjoint_from_triangles(tq, w_pot, "W")
-    _check_disjoint_from_triangles(tq, a_pot, "A")
+    _check_disjoint(tq.triangle_cycles, _TRIANGLES, W=w_pot, A=a_pot)
     parts = split(tq, a_pot)
     phi = _lengthening(tq, symbol, parts, d)
     t_pot = potential_T(tq, d)
@@ -182,7 +183,7 @@ def _lengthened(tq, symbol, parts, b_pot):
     is strictly longer than A's, and its other parts are no shorter than
     A's or than short(A_symbol) + 1.
     """
-    _check_disjoint_from_triangles(tq, b_pot, "B")
+    _check_disjoint(tq.triangle_cycles, _TRIANGLES, B=b_pot)
     b_parts = split(tq, b_pot)
     short_a_phi = (parts.s_f if symbol == "f" else parts.s_fg).short
     b_phi = b_parts.s_f if symbol == "f" else b_parts.s_fg
@@ -220,8 +221,7 @@ def _normal_form_rounds(tq, z_pot, u_pot):
     and that W holds only puncture-cycle powers with short(W) ≥ short(U).
     """
     d = u_pot.degree
-    _check_disjoint_from_triangles(tq, z_pot, "Z")
-    _check_disjoint_from_triangles(tq, u_pot, "U")
+    _check_disjoint(tq.triangle_cycles, _TRIANGLES, Z=z_pot, U=u_pot)
     base = potential_T(tq, d) + z_pot
     first = split(tq, u_pot)
     w = first.s_g
@@ -307,14 +307,6 @@ def _w_potential(tq, degree, t, wd):
     return Potential(tq.quiver, degree, {w_cycle(tq, t, wd): Fraction(wd.lam)})
 
 
-def _check_disjoint_from(base, pot, what):
-    hits = [p for p in pot.terms if p in base.terms]
-    if hits:
-        raise ValueError(
-            "%s shares rotation classes with the base potential: %r" % (what, hits)
-        )
-
-
 def _zeta_step(tq, xs, s_pot, m, t, u_pot, wd):
     """ζ, W′-data and W′ of one walk step, after every hypothesis check."""
     q = tq.quiver
@@ -333,8 +325,7 @@ def _zeta_step(tq, xs, s_pot, m, t, u_pot, wd):
         raise ValueError(
             "hypothesis 2·short(W) - 3 > m fails: 2·%d - 3 <= %d" % (short_w, m)
         )
-    _check_disjoint_from(s_pot, u_pot, "U")
-    _check_disjoint_from(s_pot, w_pot, "W")
+    _check_disjoint(s_pot.terms, _BASE, U=u_pot, W=w_pot)
 
     a = wd.arrow
     target = tq.f_of(a, -1)

@@ -4,8 +4,8 @@ Premutation reverses the arrows at the chosen vertex, adds a composite
 arrow for every length-2 path through it, and rewrites the potential in
 terms of the composites.  Reduction then splits off the trivial part — the
 2-cycles the premutation created — by explicit changes of variables,
-returning them as the witness alongside the reduced quiver with
-potential so the split can be re-verified.
+applied once each and returned in order as the witness alongside the
+reduced quiver with potential; ``ReductionWitness.recheck`` re-applies them.
 
 ``verify_flip_compatibility`` ties this to the surface geometry: mutating
 the weighted-cycle potential at a flipped arc must land, after an explicit
@@ -15,13 +15,12 @@ potential.  The report carries every intermediate witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .endo import REndomorphism
 from .path_algebra import (
     Arrow,
-    Path,
     Potential,
     Quiver,
     TruncatedElement,
@@ -213,15 +212,19 @@ def reduce(qp):
     part into a sum of distinct-pair 2-cycles with coefficient 1; then
     rounds of the same pair substitution (``_pair_rules``) push every
     longer occurrence of a paired arrow above the truncation degree, until
-    a round changes nothing.  The witness keeps these substitutions in the
-    order applied.  The paired arrows are deleted from the output.  Fails
-    loudly if the iteration has not stabilized after D rounds.
+    a round changes nothing.  Each substitution is applied once, so the
+    witness keeps exactly the substitutions applied, in order.  The image
+    is checked once: minus the trivial part, no term may pass through a
+    paired arrow or be shorter than 3.  The paired arrows are deleted from
+    the output.  Fails loudly if the iteration has not stabilized after D
+    rounds.
     """
     q = qp.quiver
     d = qp.degree
     pot = qp.potential
     factors = []
     pairs = []
+    paired_arrows = set()
 
     def record(rules):
         nonlocal pot
@@ -234,10 +237,7 @@ def reduce(qp):
     # cleanup dust is handled by later pivots.
     while True:
         quad = _quadratic_classes(pot)
-        paired_arrows = {nm for uv in pairs for nm in uv}
-        candidates = [
-            p for p in quad if not (set(p.arrows) & paired_arrows)
-        ]
+        candidates = [p for p in quad if paired_arrows.isdisjoint(p.arrows)]
         if not candidates:
             break
         pivot = min(candidates, key=lambda p: tuple(q.rank(nm) for nm in p.arrows))
@@ -260,9 +260,9 @@ def reduce(qp):
                 )
         record(_pair_rules(Potential._raw(q, d, quad), w0, w1))
         pairs.append((w0, w1))
+        paired_arrows.update(pivot.arrows)
 
     pairs = tuple(pairs)
-    paired_arrows = {nm for uv in pairs for nm in uv}
     trivial = Potential(q, d, {q.path(pair): 1 for pair in pairs})
     for _ in range(d + 1):
         recorded = len(factors)
@@ -276,23 +276,17 @@ def reduce(qp):
         )
 
     embedded = pot - trivial
+    for p in embedded.terms:
+        if not paired_arrows.isdisjoint(p.arrows):
+            raise RuntimeError("reduced potential has a term through a paired arrow: %r" % (p,))
     if not embedded.is_zero and embedded.short < 3:
         raise RuntimeError("reduced potential has a term shorter than 3")
-    survivors = [a for a in q.arrows if a.name not in paired_arrows]
-    red_q = Quiver(q.vertices, survivors)
-    red_pot = Potential(
-        red_q, d, {red_q.path(p.arrows): z for p, z in embedded.terms.items()}
-    )
-    witness = ReductionWitness(
-        factors=tuple(factors),
-        pairs=pairs,
-        trivial=trivial,
-        embedded_reduced=embedded,
-        removed=tuple(sorted(paired_arrows, key=q.rank)),
-    )
-    if not witness.recheck(qp):
-        raise RuntimeError("reduction witness failed its own recheck")
-    return QP(red_q, red_pot), witness
+    red_q = Quiver(q.vertices, [a for a in q.arrows if a.name not in paired_arrows])
+    # The survivors keep q's relative order, so every term is a path of
+    # red_q already and every canonical rotation is unchanged.
+    removed = tuple(sorted(paired_arrows, key=q.rank))
+    witness = ReductionWitness(tuple(factors), pairs, trivial, embedded, removed)
+    return QP(red_q, Potential._raw(red_q, d, dict(embedded.terms))), witness
 
 
 @dataclass
@@ -465,7 +459,8 @@ def verify_flip_compatibility(tau, k, x, n, degree=None, perturb=None):
     for factor in factors:
         transformed = factor.apply(transformed)
     red, rwitness = reduce(QP(new_q, transformed))
-    # reduce raises unless its witness rechecks; record that verified result.
+    # reduce raises unless its factors, applied once, leave no term through
+    # a paired arrow or shorter than 3; record that verified result.
     checks.append(("reduction witness recheck", True, ""))
     expected_pairs = {(a1, "[%s%s]" % (b1, c1)), (a2, "[%s%s]" % (b2, c2))}
     checks.append((

@@ -680,7 +680,17 @@ _BAD_POTENTIAL = {"D": 12, "terms": [{"coeff": "1", "path": 5}]}
 
 
 class TestMalformedInputFiles:
-    """A JSON input file of the wrong shape ends in an ERROR naming the file."""
+    """A JSON input file of the wrong shape, or a genus that is not an
+    integer, ends in an ERROR naming the file or the spec."""
+
+    @pytest.mark.parametrize("argv, spec", [
+        (["quiver", "--triangulation", "genus2p:x"], "genus2p:x"),
+        (["quiver", "--triangulation", "genus2p:"], "genus2p:"),
+        (["build", "genus2p", "x"], "genus2p:x"),
+    ], ids=["genus-x", "genus-empty", "build-genus-x"])
+    def test_malformed_genus_is_named(self, capsys, tmp_path, argv, spec):
+        out = _error_report(capsys, tmp_path, argv)
+        assert "ERROR: triangulation %r: the genus must be a positive integer\n" % spec in out
 
     @pytest.mark.parametrize("content, argv", [
         ({"arcs": 5, "triangles": []}, ["quiver", "--triangulation", "F"]),

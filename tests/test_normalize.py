@@ -357,20 +357,6 @@ class TestOneExactCheck:
         return calls
 
     @pytest.fixture
-    def applied(self, monkeypatch):
-        """Every endomorphism applied to a potential, in order."""
-        record = []
-        apply = REndomorphism.apply
-
-        def recorded(phi, x):
-            if isinstance(x, Potential):
-                record.append(phi)
-            return apply(phi, x)
-
-        monkeypatch.setattr(REndomorphism, "apply", recorded)
-        return record
-
-    @pytest.fixture
     def corrupt_lengthen(self, monkeypatch):
         """Double the corrections of every lengthening factor the stream yields.
 

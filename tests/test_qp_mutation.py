@@ -15,6 +15,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from qpsurf import qp_mutation
 from qpsurf.cli import random_cycle_potential
 from qpsurf.endo import REndomorphism, compose_all
 from qpsurf.path_algebra import (
@@ -41,7 +43,8 @@ from qpsurf.surface import (
 )
 
 
-GOLDEN_QP = pathlib.Path(__file__).parent / "golden" / "inputs" / "qp_genus2p1_d12.json"
+GOLDEN_INPUTS = pathlib.Path(__file__).parent / "golden" / "inputs"
+GOLDEN_QP = GOLDEN_INPUTS / "qp_genus2p1_d12.json"
 
 
 def torus_qp(x=1, n=1, degree=None):
@@ -167,6 +170,46 @@ class TestReduce:
         assert witness.embedded_reduced.is_zero and red.potential.is_zero
         assert witness.recheck(QP(q, pot))
 
+    def test_a_paired_arrow_left_behind_is_named(self, monkeypatch):
+        # without the elimination rounds the torus premutation keeps its
+        # puncture term b1·[a2c1]·b2·[a1c2] through both pairs
+        honest = qp_mutation._pair_rules
+
+        def clean_up_only(rest, w0, w1):
+            if all(len(p) == 2 for p in rest.terms):
+                return honest(rest, w0, w1)
+            return {}
+
+        monkeypatch.setattr(qp_mutation, "_pair_rules", clean_up_only)
+        with pytest.raises(RuntimeError, match=r"term through a paired arrow: Path\(b1 "):
+            reduce(premutate(torus_qp(), 1))
+
+    @pytest.mark.parametrize("linked", [False, True], ids=["rescaled", "cross-linked"])
+    def test_many_two_cycles_at_a_low_degree_reduce(self, linked):
+        # the clean-up is bounded by its quadratic candidates alone: 31
+        # 2-cycles at D = 3, each rescaled, or each linked to the next by
+        # xi·y(i+1) so that its pair rules clean a row too, all reduce
+        m, d = 31, 3
+        q = Quiver(["u", "v"], [("x%d" % i, "u", "v") for i in range(m)]
+                   + [("y%d" % i, "v", "u") for i in range(m)])
+        terms = {q.path(("x%d" % i, "y%d" % i)): 2 for i in range(m)}
+        if linked:
+            terms.update({q.path(("x%d" % i, "y%d" % (i + 1))): 1 for i in range(m - 1)})
+        red, witness = reduce(QP(q, Potential(q, d, terms)))
+        assert len(witness.pairs) == m
+        assert len(witness.factors) == (2 * m - 1 if linked else m)
+        assert not red.quiver.arrows and red.potential.is_zero
+        assert witness.recheck(QP(q, Potential(q, d, terms)))
+
+
+@pytest.mark.parametrize("name", ["qp_genus2p1_d12.json", "qp_torus_n2_d18.json"])
+def test_each_factor_is_applied_once(applied, name):
+    # reduce applies its chain once and checks its contract on that image
+    qp = QP.from_json_dict(json.loads((GOLDEN_INPUTS / name).read_text()))
+    _, witness = mutate(qp, 1)
+    assert witness.reduction.factors
+    assert [id(phi) for phi in applied] == [id(phi) for phi in witness.reduction.factors]
+
 
 class TestReductionChain:
     """The reduction witness is its factor chain; a broken chain fails both rechecks."""
@@ -268,6 +311,12 @@ class TestMutateHigherPowers:
         assert is_two_acyclic(red.quiver)
         assert len(witness.reduction.pairs) == 2
         assert witness.recheck(qp, k)
+        reduction = witness.reduction
+        assert oracles.apply_in_turn(reduction.factors, witness.premutated.potential) == (
+            oracles.element_words(reduction.trivial + reduction.embedded_reduced)
+        )
+        # a correction has length ≤ D − 1, so no factor reaches depth D
+        assert max(phi.depth() for phi in reduction.factors) <= degree - 2
 
     @settings(max_examples=25, deadline=timedelta(seconds=60), derandomize=True)
     @given(

@@ -76,3 +76,24 @@ def test_only_jacobian_derives_the_generators():
     found = _uses({"jacobian_generators"}, "jacobian.py")
     assert "cli.py" in found
     assert not any(found.values()), {name: hits for name, hits in found.items() if hits}
+
+
+def _recheck_calls(node, owner=None):
+    """Lines of ``.recheck(`` calls under node, outside a function named recheck."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    hits = []
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "recheck" and owner != "recheck":
+        hits.append(node.lineno)
+    for child in ast.iter_child_nodes(node):
+        hits += _recheck_calls(child, owner)
+    return hits
+
+
+def test_no_stage_rechecks_its_own_chain():
+    # Each stage applies its chain once and checks its claim on that image;
+    # only a witness's recheck re-applies a chain, and MutationWitness.recheck
+    # may defer to ReductionWitness.recheck.
+    found = {path.name: _recheck_calls(ast.parse(path.read_text())) for path in SOURCES}
+    assert "qp_mutation.py" in found
+    assert not any(found.values()), {name: lines for name, lines in found.items() if lines}
