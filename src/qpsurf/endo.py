@@ -19,6 +19,7 @@ from .path_algebra import (
     Path,
     Potential,
     TruncatedElement,
+    _json_degree,
     canonicalize_rotation,
     exact_coefficient,
 )
@@ -76,15 +77,7 @@ class REndomorphism:
             if len(img.terms) != 1 or img.terms.get(Path((name,))) != 1:
                 images[name] = img._raw(quiver, degree, MappingProxyType(dict(img.terms)))
         self.rules = MappingProxyType(images)
-        self._table = None
-
-    def _expansions(self):
-        """The expansion table, built on first use: an endomorphism that is
-        never applied (a stored factor read back to be composed, say) never
-        needs it."""
-        if self._table is None:
-            self._table = {name: _expansion(name, img) for name, img in self.rules.items()}
-        return self._table
+        self._table = {name: _expansion(name, img) for name, img in images.items()}
 
     @classmethod
     def identity(cls, quiver, degree):
@@ -150,7 +143,7 @@ class REndomorphism:
                     terms[key] = exact_coefficient(s)
             return Potential._raw(q, out.degree, terms)
         d = min(self.degree, x.degree)
-        info = self._expansions()
+        info = self._table
         reach = min((e[1] for e in info.values()), default=inf)
         scales = {name: e[0] for name, e in info.items() if e[0] != 1}
         out = {}
@@ -226,7 +219,7 @@ class REndomorphism:
         Read off the table: image − arrow starts at length δ + 1 when the
         unit coefficient is 1, and at the arrow itself (length 1) otherwise.
         """
-        return min((e[1] if e[0] == 1 else 0 for e in self._expansions().values()), default=inf)
+        return min((e[1] if e[0] == 1 else 0 for e in self._table.values()), default=inf)
 
     def is_unitriangular(self):
         return self.depth() >= 1
@@ -277,7 +270,7 @@ class REndomorphism:
         rules = {}
         for entry in data["rules"]:
             rules[entry["arrow"]] = TruncatedElement.from_json_dict(quiver, entry["image"])
-        return cls(quiver, data["D"], rules)
+        return cls(quiver, _json_degree(data), rules)
 
 
 def _rank(mat):
@@ -375,60 +368,49 @@ def compose_all(factors, quiver, degree):
     return psi
 
 
-def _limit_factors(stream, degree, pot):
-    """Run a stream of substitutions until the tail stops mattering.
+def _limit_factors(stream, pot):
+    """Apply a stream of substitutions, each once, to a carried potential.
 
-    ``stream`` is a generator of substitutions, latest applied last.  Each
-    factor it yields is applied once, to the carried potential ``pot``,
-    and the result is sent back into the stream, which reads its next
-    state off it.  The run stops once a factor has depth ≥ degree —
-    beyond that every further factor is the identity modulo the
-    truncation — or the stream ends.  Aborts loudly if 10·degree
-    consecutive factors fail to push the depth watermark up, which would
-    mean the stream is not converging.
-
-    Returns (factors, pot, result): the factors taken, as a tuple in
-    application order, which are exactly the factors applied; ``pot``
-    with them applied; and the stream's return value, None if the run
-    stopped before the stream ended.
+    ``stream`` is a generator of substitutions, latest applied last; each
+    factor it yields is applied to ``pot`` and the image is sent back, for
+    the stream to read its next state off.  Each stage bounds its own
+    rounds and raises before it would yield a factor of depth ≥ the
+    degree, so the stream runs to its end.  Returns (factors, pot, result):
+    the factors in application order, ``pot`` with them applied, and the
+    stream's return value.
     """
-    collected = []
-    watermark = -1
-    stalled = 0
+    factors = []
     try:
         phi = next(stream)
         while True:
-            collected.append(phi)
+            factors.append(phi)
             pot = phi.apply(pot)
-            d = phi.depth()
-            if d >= degree:
-                stream.close()
-                return tuple(collected), pot, None
-            if d > watermark:
-                watermark = d
-                stalled = 0
-            else:
-                stalled += 1
-                if stalled >= 10 * degree:
-                    raise RuntimeError(
-                        "limit composition stalled: %d factors without depth progress "
-                        "(watermark %s)" % (stalled, watermark)
-                    )
             phi = stream.send(pot)
     except StopIteration as stop:
-        return tuple(collected), pot, stop.value
+        return tuple(factors), pot, stop.value
 
 
 def limit_compose(factors, quiver, degree):
     """Compose a stream of substitutions until the tail stops mattering.
 
-    The composite ...∘φ2∘φ1 of the factors ``_limit_factors`` takes from
-    the stream (latest factor applied last); they are applied to the zero
-    potential, which costs nothing.  No stage of the engine calls it: each
-    runs its stream through ``_limit_factors``, which applies every factor
-    once to the stage's potential, with the same result as applying this
-    composite, exactly modulo the truncation.
+    The composite ...∘φ2∘φ1 of the factors taken from ``factors`` (latest
+    applied last).  The run stops once a factor has depth ≥ degree —
+    beyond that every further factor is the identity modulo the
+    truncation — or the factors end.  Aborts loudly if 10·degree
+    consecutive factors fail to push the depth watermark up, which would
+    mean the stream is not converging.  No stage of the engine calls it:
+    each runs its stream through ``_limit_factors``, which applies every
+    factor once to the stage's potential.
     """
-    zero = Potential.zero(quiver, degree)
-    taken, _, _ = _limit_factors((phi for phi in factors), degree, zero)
+    taken, watermark, stalled = [], -1, 0
+    for phi in factors:
+        taken.append(phi)
+        d = phi.depth()
+        if d >= degree:
+            break
+        stalled = 0 if d > watermark else stalled + 1
+        watermark = max(watermark, d)
+        if stalled >= 10 * degree:
+            raise RuntimeError("limit composition stalled: %d factors without depth "
+                               "progress (watermark %s)" % (stalled, watermark))
     return compose_all(taken, quiver, degree)

@@ -10,17 +10,16 @@ graded-lex greatest path of the row — reductions therefore express long
 paths through shorter ones.  The rows close the generators under arrow
 multiplication one side at a time: a pivot born from a left shift is
 shifted again only on the left, every other pivot on both sides, which
-spans the same window with far fewer rows (see _quotient).  A
-shifted row is indexed from the row it shifts (see _Shifts): a left shift
-b·w ranks in O(1) from w's index and first letter, a right shift w·b is
-ranked once per (index, arrow) and remembered.  Each index also keeps its
-kill threshold, the least length from which a kill rule it contains
-applies (see _Kills); a shifted path tests only the rules that start or
-end with the new arrow, so elimination never unranks a row's path.  A
-one-term row needs no elimination: it is a new lead unless its path is
-killed or a lead already.  A one-term pivot is shifted without building a
-row at all: each shift is one index, placed at once, and only a shift onto
-a multi-term lead is reduced; a killed left shift of one is not recorded.
+spans the same window with far fewer rows (see _quotient).  A shifted
+row is indexed from the row it shifts (see _Shifts): a left shift b·w
+ranks in O(1) from w's index and first letter, a right shift w·b is
+ranked from its word.  Each index also keeps its kill threshold, the
+least length from which a kill rule it contains applies (see _Kills); a
+shifted path tests only the rules that start or end with the new arrow,
+so elimination never unranks a row's path.  A one-term pivot is shifted
+without building a row at all: each shift is one index, placed at once,
+and only a shift onto a multi-term lead is reduced; a killed left shift
+of one is not recorded.
 Coefficients stay plain ints while integral (``exact_coefficient``).
 
 Finiteness certificate: if at some length L every path of that length
@@ -149,11 +148,22 @@ class TruncatedQuotient:
     @cached_property
     def basis(self):
         """The paths that are neither pivot leads nor killed, below the
-        certificate length, or in the whole window when uncertified."""
+        certificate length (in the whole window when uncertified), in index
+        order; grown from the vertices by arrows on the left through basis
+        paths only, as b·w is a pivot lead or killed whenever w is."""
         cutoff = self.certificate_length if self.certified else self.degree + 1
-        unrank, killed = self._index.unrank, self._kills.killed_word
-        paths = (unrank(pid) for pid in range(self._index.offsets[cutoff]) if pid not in self._pivots)
-        return tuple(p for p in paths if not killed(p.arrows))
+        index, pivots, killed = self._index, self._pivots, self._kills.killed_word
+        arrows_out = self.qp.quiver.arrows_out
+        paths, layer = {}, [((), v) for v in self.qp.quiver.vertices]
+        for _ in range(cutoff):
+            longer = []
+            for word, head in layer:
+                pid = index.pid(word, head)
+                if pid not in pivots and not killed(word):
+                    paths[pid] = Path(word, None if word else head)
+                    longer += [((b.name,) + word, b.head) for b in arrows_out[head]]
+            layer = longer
+        return tuple(paths[pid] for pid in sorted(paths))
 
     def _pid(self, p):
         """The index of a Path or a word, once checked to be a path of the window."""
@@ -195,17 +205,18 @@ class _Kills:
         # those that end with it: what a path can newly contain once that
         # arrow is put on its left or right.
         self.starts, self.ends = {}, {}
-        # pid -> killed?  _Shifts fills it for the paths that rows use; a
-        # killed left shift of a one-term pivot is dropped unrecorded (see
-        # _quotient).  killed_pid falls back to unranking for other indices.
+        # pid -> killed?  _Shifts fills it for the paths that rows use, after
+        # the last rule; a killed left shift of a one-term pivot is dropped
+        # unrecorded (see _quotient).  killed_pid unranks any other index.
         self.memo = {}
 
     def add(self, word, min_length):
+        if self.memo:
+            raise RuntimeError("a kill rule must be added before any path's kill state is recorded")
         word = tuple(word)
         self.rules.append((word, min_length))
         self.starts.setdefault(word[0], []).append((word[1:], min_length))
         self.ends.setdefault(word[-1], []).append((word[:-1], min_length))
-        self.memo.clear()
 
     def threshold(self, word):
         """The least min_length of the rules whose word the path contains:
@@ -263,20 +274,19 @@ class _Shifts:
 
     ``state[pid]`` is (word, kill threshold, left base).  A shifted path is
     indexed from its source's entry: b·word as base + first[b][len(word)]
-    (see _PathIndex.left_base), word·b by ``_PathIndex.pid`` once per
-    (pid, b); its threshold follows from the source's by the rules that
-    start or end with b (see _Kills), so every kill rule is added before
-    the first path.  Each new path's kill status goes to the kill memo, so
-    elimination never unranks it.  A one-term pivot is shifted by _quotient
-    from its entry alone, without a row: its left shifts by the same
-    arithmetic, its right shifts through ``right_of``; a killed left shift
-    of one gets no entry.
+    (see _PathIndex.left_base), word·b by ``_PathIndex.pid``; its
+    threshold follows from the source's by the rules that start or end
+    with b (see _Kills), so every kill rule is added before the first path
+    (``_Kills.add`` raises otherwise).  Each new path's kill status goes
+    to the kill memo, so elimination never unranks it.  A one-term pivot
+    is shifted by _quotient from its entry alone, without a row: its left
+    shifts by the same arithmetic, its right shifts through ``right_of``;
+    a killed left shift of one gets no entry.
     """
 
     def __init__(self, index, kills):
         self.index, self.kills = index, kills
         self.state = {}
-        self.rights = {}  # (pid, arrow) -> the index of that path times the arrow on its right
 
     def _new(self, pid, word, thr):
         self.state[pid] = (word, thr, self.index.left_base(pid, word))
@@ -302,13 +312,11 @@ class _Shifts:
 
     def right_of(self, pid, b):
         """The index of the path ``pid`` times arrow b on its right, recorded if new."""
-        new = self.rights.get((pid, b))
-        if new is None:
-            word, thr, _ = self.state[pid]
-            longer = word + (b,)
-            new = self.rights[pid, b] = self.index.pid(longer)
-            if new not in self.state:
-                self._new(new, longer, self.kills.right_threshold(word, b, thr))
+        word, thr, _ = self.state[pid]
+        longer = word + (b,)
+        new = self.index.pid(longer)
+        if new not in self.state:
+            self._new(new, longer, self.kills.right_threshold(word, b, thr))
         return new
 
     def right(self, terms, b):
@@ -391,18 +399,6 @@ def _residue(pivots, row, kills):
 
 def _install(pivots, row, kills):
     """Reduce a row and, if nonzero, install it as a new pivot.  Returns lead or None."""
-    if len(row) == 1:
-        # A one-term row: a new lead unless its path is killed or a lead
-        # already; a one-term pivot there reduces it to zero.
-        [lead] = row
-        hit = pivots.get(lead)
-        if hit is None:
-            if kills.killed_pid(lead):
-                return None
-            pivots[lead] = {lead: 1}
-            return lead
-        if len(hit) == 1:
-            return None
     row = _reduce_against(pivots, row, kills)
     if not row:
         return None
@@ -642,6 +638,4 @@ def g_path_independence_check(tq, quotient, n):
 def _rank_modulo(pivots, rows, kills):
     """How many of the rows are independent modulo the pivots and the killed paths."""
     pivots = dict(pivots)
-    return sum(
-        _install(pivots, _residue(pivots, row, kills), kills) is not None for row in rows
-    )
+    return sum(_install(pivots, row, kills) is not None for row in rows)

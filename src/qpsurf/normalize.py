@@ -20,7 +20,7 @@ chain of factors, in application order; a one-step witness (the triangle
 rescaling, a lengthening trade, a ζ-step) is one substitution.  No stage
 builds a composite.  Nested stages are private generators
 (``_normal_form_rounds``, ``_walk``) that yield their factors into the
-caller's one stream.  The stream's collector (``endo._limit_factors``)
+caller's one stream.  The stream's driver (``endo._limit_factors``)
 applies each factor to the carried whole potential — S+V, S+U+W or
 T+Z+U — and sends the image back, and each stage reads its next state
 off that image and checks its own contract on it.  So the returned chain
@@ -39,7 +39,6 @@ from .path_algebra import (
     Path,
     Potential,
     TruncatedElement,
-    canonicalize_rotation,
     is_cyclically_equivalent,
 )
 from .surface import (
@@ -268,7 +267,7 @@ def g_normal_form(tq, z_pot, u_pot):
     u_pot = u_pot.truncate(d)
     t_pot = potential_T(tq, d)
     factors, pot, w_pot = _limit_factors(
-        _normal_form_rounds(tq, z_pot, u_pot), d, t_pot + z_pot + u_pot
+        _normal_form_rounds(tq, z_pot, u_pot), t_pot + z_pot + u_pot
     )
     # the composite's depth is at least the least factor depth
     if not u_pot.is_zero and min((f.depth() for f in factors), default=inf) < u_pot.short - 3:
@@ -417,7 +416,7 @@ def absorb_cycle(tq, x, m, t, u_pot, wd):
     xs = _coerce_x(tq, x)
     s_pot = potential_S(tq, xs, d)
     factors, pot, xi = _limit_factors(
-        _walk(tq, xs, s_pot, m, t, u_pot, wd), d, s_pot + u_pot + _w_potential(tq, d, t, wd)
+        _walk(tq, xs, s_pot, m, t, u_pot, wd), s_pot + u_pot + _w_potential(tq, d, t, wd)
     )
     depth = min((f.depth() for f in factors), default=inf)
     if depth < min(m - 3, t + len(wd.c) - 1):  # short(W) - 3
@@ -430,34 +429,19 @@ def absorb_cycle(tq, x, m, t, u_pot, wd):
 # Absorbing all higher powers of the puncture cycles (two punctures)
 # ----------------------------------------------------------------------
 
-def _power_table(tq, degree):
-    """Canonical rotation class of each puncture-cycle power up to the degree.
-
-    Built once per quiver and degree: the quiver keeps it.
-    """
-    table = tq._power_tables.get(degree)
-    if table is None:
-        table = tq._power_tables[degree] = {}
-        for p in tq.punctures:
-            word = tq.puncture_cycle(p.pid).arrows
-            n = 1
-            while n * p.valency <= degree:
-                key = canonicalize_rotation(tq.quiver, Path(word * n))
-                table[key] = (p.pid, n)
-                n += 1
-    return table
-
-
 def decompose_g_powers(tq, pot):
-    """Write a potential as Σ λ_{p,n}·𝒢(p)ⁿ, or fail if it has other terms."""
-    table = _power_table(tq, pot.degree)
+    """Write a potential as Σ λ_{p,n}·𝒢(p)ⁿ, or fail if it has other terms.
+
+    A cycle of g-steps (each letter g of the next, around the word) runs
+    around one puncture: it is the power len // m of that puncture's cycle.
+    """
+    g = tq.g
     out = {p.pid: {} for p in tq.punctures}
     for path, coeff in pot.terms.items():
-        hit = table.get(path)
-        if hit is None:
+        word = path.arrows
+        if any(a != g[b] for a, b in zip(word, word[1:] + word[:1])):
             raise ValueError("not a sum of puncture-cycle powers: term %r" % (path,))
-        pid, n = hit
-        out[pid][n] = coeff
+        out[tq.puncture_of(word[0])][len(word) // tq.m_of(word[0])] = coeff
     return out
 
 
@@ -543,6 +527,6 @@ def absorb_g_powers(tq, x, v_pot):
             if not v.is_zero and v.short <= m:
                 raise RuntimeError("no progress: short stayed at %s" % v.short)
 
-    factors, pot, _ = _limit_factors(factor_stream(), d, s_pot + v_pot)
+    factors, pot, _ = _limit_factors(factor_stream(), s_pot + v_pot)
     _verified(pot, s_pot, "absorption witness")
     return factors

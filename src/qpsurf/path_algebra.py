@@ -252,6 +252,14 @@ def exact_coefficient(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _json_degree(data):
+    """The truncation degree ``D`` read from JSON: an integer, not a bool."""
+    degree = data["D"]
+    if type(degree) is not int:
+        raise TypeError("D must be an integer, not %r" % (degree,))
+    return degree
+
+
 class _Graded:
     """A finite rational combination of paths, modulo paths longer than D.
 
@@ -422,7 +430,7 @@ class _Graded:
     @classmethod
     def from_json_dict(cls, quiver, data):
         """Load from ``to_json_dict`` output; a term longer than ``D`` is an error."""
-        degree = int(data["D"])
+        degree = _json_degree(data)
         terms = {}
         for entry in data["terms"]:
             p = quiver.path(entry["path"], at=entry.get("at"))

@@ -238,7 +238,6 @@ class TriangulationQuiver:
         self.punctures = tuple(punctures)
         self.g_inv = {v: k for k, v in self.g.items()}
         self._cycle_classes = {}  # classify_cycle's memo: given cycle -> CycleClass
-        self._power_tables = {}  # normalize._power_table's memo: degree -> table
 
     # -- permutations --------------------------------------------------
 

@@ -739,6 +739,16 @@ class TestMalformedInputFiles:
         out = _error_report(capsys, tmp_path, [str(f) if tok == "F" else tok for tok in argv])
         assert "ERROR: %s: malformed input: expected a JSON object\n" % f in out
 
+    @pytest.mark.parametrize("degree", [3.5, True, "12", "a"],
+                             ids=["float", "bool", "string", "letters"])
+    def test_degree_must_be_a_json_integer(self, capsys, tmp_path, torus_tq, degree):
+        data = QP(torus_tq.quiver, potential_S(torus_tq, 1, 12)).to_json_dict()
+        data["potential"]["D"] = degree
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(data))
+        out = _error_report(capsys, tmp_path, ["jacobian-dim", "--qp", str(f)])
+        assert "ERROR: %s: malformed input: D must be an integer, not %r\n" % (f, degree) in out
+
     def test_float_coefficient_is_an_error(self, capsys, tmp_path, fig_tq):
         # a JSON number 0.1 is a binary float, not the rational 1/10
         cycle = list(fig_tq.triangle_cycle(0).arrows)

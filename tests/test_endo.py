@@ -598,6 +598,13 @@ class TestSerialization:
         phi = oracles.random_unitriangular(q, 9, rng, nrules=4)
         assert REndomorphism.from_json_dict(q, phi.to_json_dict()) == phi
 
+    @pytest.mark.parametrize("degree", [9.0, True, "9"])
+    def test_degree_must_be_an_integer(self, fig_tq, degree):
+        data = REndomorphism.identity(fig_tq.quiver, 9).to_json_dict()
+        data["D"] = degree
+        with pytest.raises(TypeError, match="D must be an integer"):
+            REndomorphism.from_json_dict(fig_tq.quiver, data)
+
 
 MIXED_POOL = (1, 2, -1, Fraction(-1, 3), Fraction(3, 2), Fraction(1, 2))
 

@@ -424,6 +424,22 @@ class TestKills:
         for pid, hit in quo._kills.memo.items():
             assert hit == quo._kills.killed_word(quo._index.unrank(pid).arrows)
 
+    def test_rule_after_a_recorded_kill_state_is_an_error(self, torus_tq):
+        # _Shifts reads each new path's threshold off the rules, so every
+        # rule must come before the first recorded kill state
+        quo, _ = quotient_dimension(torus_qp(torus_tq, 1, 12), 12)
+        kills = quo._kills
+        rules, memo = list(kills.rules), dict(kills.memo)
+        assert memo
+        with pytest.raises(RuntimeError, match="before any path's kill state"):
+            kills.add(("a1", "b1"), 3)
+        assert kills.rules == rules and kills.memo == memo
+        fresh = _Kills(quo._index)
+        fresh.add(("a1", "b1"), 3)
+        fresh.killed_pid(0)
+        with pytest.raises(RuntimeError, match="before any path's kill state"):
+            fresh.add(("b1",), 5)
+
 
 class TestWindowClosure:
     """Every one-term pivot's composable shifts inside the window are leads
@@ -556,6 +572,40 @@ class TestReduction:
                     assert got == want
                     pairs += 1
             assert pairs == 12
+
+
+class TestBasisWalk:
+    """``basis`` grows paths from the vertices by arrows on the left and
+    keeps only basis paths.  That finds every basis path only if the
+    paths that are neither pivot leads nor killed are closed under
+    dropping an end arrow; both the closure and the result are checked
+    against a scan of every path of the window below the cutoff."""
+
+    @pytest.mark.parametrize("spec,x,n,degree", [
+        ("torus", 1, 1, 12), ("torus", 1, 2, 18),
+        ("genus2p:1", (1, 1), 1, 13), ("genus2p:2", (1, 1), 1, 17),
+    ])
+    def test_walk_matches_the_window_scan(self, spec, x, n, degree):
+        tau = once_punctured_torus() if spec == "torus" else twice_punctured_genus(int(spec[-1]))
+        tq = build_quiver(tau)
+        q = tq.quiver
+        quo, certified = quotient_dimension(QP(q, potential_S(tq, x, degree, n=n)), degree)
+        assert certified
+        index, kills, pivots = quo._index, quo._kills, quo._pivots
+        scan = []
+        for pid in range(index.offsets[quo.certificate_length]):
+            if pid not in pivots:
+                p = index.unrank(pid)
+                if not kills.killed_word(p.arrows):
+                    scan.append(p)
+        found = set(scan)
+        for p in scan:
+            w = p.arrows
+            if w:
+                assert (Path(w[1:]) if w[1:] else Path((), q.tail(w[-1]))) in found
+                assert (Path(w[:-1]) if w[:-1] else Path((), q.head(w[0]))) in found
+        assert quo.basis == tuple(scan)
+        assert len(scan) == quo.dimension
 
 
 class TestSyntheticPivots:

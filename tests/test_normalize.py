@@ -5,6 +5,8 @@ witness once, to the carried potential, and compares the result with its
 claimed output once; the tests here check every returned witness again
 by applying its factors to the input in turn."""
 
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from qpsurf import normalize
+from qpsurf import cli, normalize
 from qpsurf.cli import random_cycle_potential
 from qpsurf.endo import REndomorphism, compose_all
 from qpsurf.normalize import (
@@ -438,6 +440,7 @@ class TestChainsApplyToTheirClaims:
         x = data.draw(st.sampled_from([(1, 1), (2, -1), (Fraction(1, 2), 3)]), label="x")
         v_pot = data.draw(power_sums(tq, d), label="V")
         factors = absorb_g_powers(tq, x, v_pot)
+        assert all(phi.depth() < phi.degree == d for phi in factors)
         s_pot = potential_S(tq, x, d)
         assert oracles.apply_in_turn(factors, s_pot + v_pot) == oracles.element_words(s_pot)
 
@@ -448,6 +451,7 @@ class TestChainsApplyToTheirClaims:
         u_pot = random_cycle_potential(fig_tq, d, random.Random(seed))
         z_pot = potential_S(fig_tq, (2, -1), d) - potential_T(fig_tq, d) if with_z else Potential.zero(q, d)
         factors, w_pot = g_normal_form(fig_tq, z_pot, u_pot)
+        assert all(phi.depth() < phi.degree == d for phi in factors)
         t_pot = potential_T(fig_tq, d)
         assert oracles.apply_in_turn(factors, t_pot + z_pot + u_pot) == oracles.element_words(
             t_pot + z_pot + w_pot
@@ -476,3 +480,46 @@ class TestDecomposeGPowers:
         pot = Potential(fig_tq.quiver, 12, {fig_tq.triangle_cycle(0): 1})
         with pytest.raises(ValueError, match="not a sum"):
             decompose_g_powers(fig_tq, pot)
+
+    def test_torus_outside_the_standing_conditions(self, torus_tq):
+        # the reading needs only the g-orbits, not the standing conditions
+        pot = potential_S(torus_tq, 2, n=2)
+        got = decompose_g_powers(torus_tq, pot - potential_T(torus_tq, pot.degree))
+        assert got == {"p0": {2: 2}}
+        tri = Potential(torus_tq.quiver, pot.degree, {torus_tq.triangle_cycle(0): 1})
+        with pytest.raises(ValueError, match="not a sum"):
+            decompose_g_powers(torus_tq, tri)
+
+
+STORED_INPUTS = pathlib.Path(__file__).parent / "golden" / "inputs"
+
+
+class TestFactorDepthsStayBelowTheDegree:
+    """Every factor a stage returns has depth below the degree: each stage
+    raises before it would yield a deeper one, so its factor stream always
+    runs to its end."""
+
+    @pytest.mark.parametrize("name", ["absorb_genus2p1_d32.json",
+                                      "normalize_genus2p1_seed5_d12.json"])
+    def test_stored_inputs(self, monkeypatch, name):
+        argv = json.loads((STORED_INPUTS / name).read_text())["inputs"]["argv"]
+        d = int(argv[argv.index("--degree") + 1])
+        chains = []
+
+        def recording(real, chain_of):
+            def call(*args):
+                out = real(*args)
+                chains.append(chain_of(out))
+                return out
+            return call
+
+        monkeypatch.setattr(cli, "g_normal_form", recording(cli.g_normal_form, lambda out: out[0]))
+        monkeypatch.setattr(cli, "absorb_g_powers", recording(cli.absorb_g_powers, lambda out: out))
+        assert cli.run_command(argv).outcome == "PASS"
+        assert chains and all(chains)
+        for chain in chains:
+            assert all(phi.depth() < phi.degree == d for phi in chain)
+
+    def test_absorb_cycle(self, fig_tq):
+        factors = one_check_inputs(fig_tq)["absorb_cycle"]()
+        assert factors and all(phi.depth() < phi.degree == 24 for phi in factors)
